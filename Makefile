@@ -41,14 +41,17 @@ bench-quick:
 	$(GO) test -run '^$$' -bench BenchmarkRunAllQuick -benchtime 1x -jobs 1 .
 	$(GO) test -run '^$$' -bench BenchmarkRunAllQuick -benchtime 1x .
 
-# Compression-kernel microbenchmarks (DESIGN.md §10): one iteration
-# each with -benchmem, enough for `check` to catch an allocation
-# regression on the hot paths (the 0-allocs property is also pinned
-# hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs). Run with
-# a real -benchtime for ns/op numbers.
+# Compression-kernel and sizing-layer microbenchmarks (DESIGN.md §10):
+# one iteration each with -benchmem, enough for `check` to catch an
+# allocation regression on the hot paths (the 0-allocs property is
+# also pinned hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs).
+# Covers the codecs, the BPC plane builder, LZSizeBlock on DMC-shaped
+# 1 KB blocks and Image.SizeAll. Run with a real -benchtime for ns/op
+# numbers.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|Writer|Reader' \
-		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/
+	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader' \
+		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/ \
+		./internal/workload/
 
 # Single-run hot-loop benchmark: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial

@@ -75,16 +75,18 @@ func (b BPC) CompressScratch(dst, src []byte, s *Scratch) int {
 		return 0
 	}
 	words := loadWords(src)
+	var p bpcPlanes
+	buildBPCPlanes(&words, &p)
 
 	wT := &s.wa
 	wT.Reset()
-	encodeBPCTransformed(wT, &words)
+	encodeBPCTransformed(wT, words[0], &p.t)
 
 	best := wT
 	if !b.DisableBestOf {
 		wR := &s.wb
 		wR.Reset()
-		encodeBPCRaw(wR, &words)
+		encodeBPCRaw(wR, &p.r)
 		if wR.Len() < wT.Len() {
 			best = wR
 		}
@@ -108,9 +110,11 @@ func (b BPC) SizeOnly(src []byte) int {
 		return 0
 	}
 	words := loadWords(src)
-	best := (countBPCTransformed(&words) + 7) / 8
+	var p bpcPlanes
+	buildBPCPlanes(&words, &p)
+	best := (countBPCTransformed(words[0], &p.t) + 7) / 8
 	if !b.DisableBestOf {
-		if lenR := (countBPCRaw(&words) + 7) / 8; lenR < best {
+		if lenR := (countBPCRaw(&p.r) + 7) / 8; lenR < best {
 			best = lenR
 		}
 	}
@@ -120,90 +124,77 @@ func (b BPC) SizeOnly(src []byte) int {
 	return best
 }
 
-// bpcTranspose32 runs the recursive delta-swap bit-matrix transpose
-// network (Hacker's Delight §7-3) over the 32 words of a. In
-// position terms the result satisfies
+// bpcPlanes holds both best-of variants' bit-planes in encode order
+// (MSB plane first): t the 33 delta planes of the transformed variant
+// (plane p holds bit p of every 33-bit two's-complement word-to-word
+// delta, delta j in plane bit j), r the 32 planes of the raw words.
+type bpcPlanes struct {
+	t [33]uint32
+	r [32]uint32
+}
+
+// buildBPCPlanes builds both plane sets with one pass of the recursive
+// delta-swap bit-matrix transpose network (Hacker's Delight §7-3) over
+// 64-bit rows: row 31-j holds delta j's low 32 bits in its low half
+// and raw word j in its high half. Every mask repeats in both halves,
+// so no bit crosses between them and the one network performs two
+// independent 32x32 transposes. In position terms each half satisfies
 //
 //	a'[r] bit p == a[31-p] bit (31-r)
 //
-// so loading source word j into row 31-j makes a'[31-q] exactly bit-
-// plane q (plane q bit j = word j bit q) — the whole plane build in
-// ~160 word ops instead of ~500 single-bit scatter iterations per
-// variant. TestBPCPlaneBuilders pins this against the scalar
-// reference builders.
-func bpcTranspose32(a *[32]uint32) {
-	m := uint32(0x0000ffff)
-	for j := 16; j != 0; {
-		for k := 0; k < 32; k = (k + j + 1) &^ j {
-			t := (a[k] ^ (a[k+j] >> uint(j))) & m
-			a[k] ^= t
-			a[k+j] ^= t << uint(j)
-		}
-		j >>= 1
-		m ^= m << uint(j)
-	}
-}
-
-// bpcTransformedPlanes builds the 33 delta bit-planes in encode order
-// (MSB plane first) into ord: 15 word-to-word deltas in 33-bit two's
-// complement, plane p holding bit p of every delta, delta j in plane
-// bit j. Writing into a caller-provided array keeps the hot sizing
-// path free of large-array value copies.
-func bpcTransformedPlanes(words *[WordsPerLine]uint32, ord *[33]uint32) {
-	const nDeltas = WordsPerLine - 1
-	const nPlanes = 33
-	// Low 32 delta bits via the transpose network; plane 32 (the top
-	// delta bit) is gathered scalarly.
-	var a [32]uint32
+// so row 31-q ends up holding bit-plane q of both variants, already in
+// encode order. Delta plane 32 (the sign bit) is gathered scalarly.
+// TestBPCPlaneBuilders pins this against the scalar reference builders
+// and against two separate 32-bit transposes.
+func buildBPCPlanes(words *[WordsPerLine]uint32, p *bpcPlanes) {
+	var a [32]uint64
 	var top uint32
-	for j := 0; j < nDeltas; j++ {
-		d := int64(words[j+1]) - int64(words[j])
-		u := uint64(d) & (1<<33 - 1)
-		a[31-j] = uint32(u)
-		top |= uint32(u>>32) << uint(j)
+	for j := 0; j < WordsPerLine-1; j++ {
+		d := uint64(int64(words[j+1]) - int64(words[j]))
+		a[31-j] = uint64(words[j])<<32 | uint64(uint32(d))
+		top |= uint32(d>>32&1) << uint(j)
 	}
-	bpcTranspose32(&a)
-	ord[0] = top // plane 32
-	for i := 1; i < nPlanes; i++ {
-		ord[i] = a[i-1] // a[31-q] is plane q; ord[i] is plane 32-i
+	a[31-(WordsPerLine-1)] = uint64(words[WordsPerLine-1]) << 32
+	bpcSwapStage(&a, 16, 0x0000ffff0000ffff)
+	bpcSwapStage(&a, 8, 0x00ff00ff00ff00ff)
+	bpcSwapStage(&a, 4, 0x0f0f0f0f0f0f0f0f)
+	bpcSwapStage(&a, 2, 0x3333333333333333)
+	bpcSwapStage(&a, 1, 0x5555555555555555)
+	p.t[0] = top
+	for i, row := range a {
+		p.t[i+1] = uint32(row)
+		p.r[i] = uint32(row >> 32)
 	}
 }
 
-// bpcRawPlanes builds the 32 bit-planes of the raw words in encode
-// order (MSB plane first) into a.
-func bpcRawPlanes(words *[WordsPerLine]uint32, a *[32]uint32) {
-	for j := 0; j < WordsPerLine; j++ {
-		a[31-j] = words[j]
+// bpcSwapStage is one stage of the transpose network: it swaps the
+// j-bit blocks selected by m between rows k and k+j. Inlined at each
+// call with a constant j, so every shift is a constant.
+func bpcSwapStage(a *[32]uint64, j int, m uint64) {
+	for k := 0; k < 32; k = (k + j + 1) &^ j {
+		t := (a[k] ^ a[k+j]>>uint(j)) & m
+		a[k] ^= t
+		a[k+j] ^= t << uint(j)
 	}
-	bpcTranspose32(a)
-	// a[31-q] is plane q, so a is already in encode order (MSB first).
 }
 
-func encodeBPCTransformed(w *bitstream.Writer, words *[WordsPerLine]uint32) {
+func encodeBPCTransformed(w *bitstream.Writer, base uint32, planes *[33]uint32) {
 	w.WriteBits(bpcVariantTransformed, 1)
-	encodeBPCBase(w, words[0])
-	var ord [33]uint32
-	bpcTransformedPlanes(words, &ord)
-	encodePlanes(w, ord[:], WordsPerLine-1, true)
+	encodeBPCBase(w, base)
+	encodePlanes(w, planes[:], WordsPerLine-1, true)
 }
 
-func encodeBPCRaw(w *bitstream.Writer, words *[WordsPerLine]uint32) {
+func encodeBPCRaw(w *bitstream.Writer, planes *[32]uint32) {
 	w.WriteBits(bpcVariantRaw, 1)
-	var ord [32]uint32
-	bpcRawPlanes(words, &ord)
-	encodePlanes(w, ord[:], WordsPerLine, false)
+	encodePlanes(w, planes[:], WordsPerLine, false)
 }
 
-func countBPCTransformed(words *[WordsPerLine]uint32) int {
-	var ord [33]uint32
-	bpcTransformedPlanes(words, &ord)
-	return 1 + countBPCBase(words[0]) + countPlanes(ord[:], WordsPerLine-1, true)
+func countBPCTransformed(base uint32, planes *[33]uint32) int {
+	return 1 + countBPCBase(base) + countPlanes(planes[:], WordsPerLine-1, true)
 }
 
-func countBPCRaw(words *[WordsPerLine]uint32) int {
-	var ord [32]uint32
-	bpcRawPlanes(words, &ord)
-	return 1 + countPlanes(ord[:], WordsPerLine, false)
+func countBPCRaw(planes *[32]uint32) int {
+	return 1 + countPlanes(planes[:], WordsPerLine, false)
 }
 
 func encodeBPCBase(w *bitstream.Writer, base uint32) {

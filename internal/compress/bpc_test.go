@@ -5,9 +5,26 @@ import (
 	"testing"
 )
 
-// Scalar reference plane builders: the original one-bit-per-iteration
+// Reference plane builders: the original one-bit-per-iteration
 // scatter loops, retained as the executable specification for the
-// delta-swap transpose network in bpc.go (bpcTranspose32).
+// fused delta-swap transpose network in bpc.go (buildBPCPlanes), and
+// the 32-bit network it replaced, which transposes one variant at a
+// time.
+
+// bpcTranspose32 runs the delta-swap network over 32-bit rows; in
+// position terms a'[r] bit p == a[31-p] bit (31-r).
+func bpcTranspose32(a *[32]uint32) {
+	m := uint32(0x0000ffff)
+	for j := 16; j != 0; {
+		for k := 0; k < 32; k = (k + j + 1) &^ j {
+			t := (a[k] ^ (a[k+j] >> uint(j))) & m
+			a[k] ^= t
+			a[k+j] ^= t << uint(j)
+		}
+		j >>= 1
+		m ^= m << uint(j)
+	}
+}
 
 func refTransformedPlanes(words [WordsPerLine]uint32) [33]uint32 {
 	const nDeltas = WordsPerLine - 1
@@ -42,8 +59,8 @@ func refRawPlanes(words [WordsPerLine]uint32) [32]uint32 {
 	return ord
 }
 
-// TestBPCPlaneBuilders differentially tests the transpose-network
-// plane builders against the scalar references over structured and
+// TestBPCPlaneBuilders differentially tests the fused transpose-network
+// plane builder against the reference builders over structured and
 // random word patterns.
 func TestBPCPlaneBuilders(t *testing.T) {
 	cases := [][WordsPerLine]uint32{}
@@ -81,15 +98,27 @@ func TestBPCPlaneBuilders(t *testing.T) {
 
 	for ci, w := range cases {
 		w := w
-		var gotT [33]uint32
-		bpcTransformedPlanes(&w, &gotT)
-		if want := refTransformedPlanes(w); gotT != want {
-			t.Errorf("case %d: transformed planes diverge from reference\n got: %x\nwant: %x", ci, gotT, want)
+		var got bpcPlanes
+		buildBPCPlanes(&w, &got)
+		if want := refTransformedPlanes(w); got.t != want {
+			t.Errorf("case %d: transformed planes diverge from reference\n got: %x\nwant: %x", ci, got.t, want)
 		}
-		var gotR [32]uint32
-		bpcRawPlanes(&w, &gotR)
-		if want := refRawPlanes(w); gotR != want {
-			t.Errorf("case %d: raw planes diverge from reference\n got: %x\nwant: %x", ci, gotR, want)
+		if want := refRawPlanes(w); got.r != want {
+			t.Errorf("case %d: raw planes diverge from reference\n got: %x\nwant: %x", ci, got.r, want)
+		}
+		// The fused network must equal two separate 32-bit transposes:
+		// no bit crosses between the 64-bit rows' halves.
+		var delta, raw [32]uint32
+		for j := 0; j < WordsPerLine; j++ {
+			if j < WordsPerLine-1 {
+				delta[31-j] = w[j+1] - w[j]
+			}
+			raw[31-j] = w[j]
+		}
+		bpcTranspose32(&delta)
+		bpcTranspose32(&raw)
+		if [32]uint32(got.t[1:]) != delta || got.r != raw {
+			t.Errorf("case %d: fused transpose diverges from two 32-bit transposes", ci)
 		}
 	}
 }
@@ -110,5 +139,19 @@ func TestBPCKnownSizes(t *testing.T) {
 	}
 	if got := (BPC{}).SizeOnly(line); got != n {
 		t.Errorf("SizeOnly = %d, Compress = %d", got, n)
+	}
+}
+
+func BenchmarkBPCPlanes(b *testing.B) {
+	lines := benchLines()
+	words := make([][WordsPerLine]uint32, len(lines))
+	for i, l := range lines {
+		words[i] = loadWords(l)
+	}
+	var p bpcPlanes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildBPCPlanes(&words[i%len(words)], &p)
 	}
 }

@@ -124,18 +124,15 @@ func FuzzCodecSizeOnly(f *testing.F) {
 
 // FuzzLZSizeBlock extends the size-only pin to the block compressor at
 // arbitrary block sizes, where the per-token early exit and offset
-// widths differ from the 64 B line case.
+// widths differ from the 64 B line case: the compress and size walks
+// must both match the brute-force reference.
 func FuzzLZSizeBlock(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 4096 {
 			return
 		}
-		dst := make([]byte, len(data))
-		n := LZCompressBlock(dst, data)
-		if got := LZSizeBlock(data); got != n {
-			t.Fatalf("LZSizeBlock = %d, LZCompressBlock = %d (block %d bytes)", got, n, len(data))
-		}
+		checkLZMatchesReference(t, data)
 	})
 }
 
@@ -145,6 +142,7 @@ func FuzzLZBlockRoundTrip(f *testing.F) {
 		if len(data) == 0 || len(data) > 4096 {
 			return
 		}
+		checkLZMatchesReference(t, data)
 		dst := make([]byte, len(data))
 		n := LZCompressBlock(dst, data)
 		out := make([]byte, len(data))

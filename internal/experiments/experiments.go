@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"time"
@@ -83,6 +85,30 @@ type Options struct {
 	// manifest). Required when Quarantine is set and a manifest is
 	// wanted; a nil log just drops the records.
 	Failures *parallel.FailureLog
+
+	// labels is Ctx (or the background context) carrying the running
+	// experiment's pprof label, set by runRecovering; grid cells
+	// extend it rather than replace it.
+	labels context.Context
+}
+
+// labelCtx returns the context whose pprof labels nested work extends.
+func (o Options) labelCtx() context.Context {
+	switch {
+	case o.labels != nil:
+		return o.labels
+	case o.Ctx != nil:
+		return o.Ctx
+	}
+	return context.Background()
+}
+
+// inCell runs f for cell i of grid label under the pprof labels
+// "grid" and "cell", added to those ctx carries, and hands f the
+// labeled context, so `pprof -tagfocus` can split a CPU profile by
+// experiment, grid and cell.
+func inCell(ctx context.Context, label string, i int, f func(ctx context.Context)) {
+	pprof.Do(ctx, pprof.Labels("grid", label, "cell", strconv.Itoa(i)), f)
 }
 
 // resilient reports whether any resilience feature routes the grids
@@ -169,8 +195,9 @@ func Run(name string, opt Options) error {
 // runRecovering converts back to the experiment's error.
 func grid[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) T) []T {
 	if !opt.resilient() {
-		return parallel.MapProgress(opt.Jobs, n, opt.Progress, label, func(i int) T {
-			return fn(context.Background(), i)
+		return parallel.MapProgress(opt.Jobs, n, opt.Progress, label, func(i int) (v T) {
+			inCell(opt.labelCtx(), label, i, func(ctx context.Context) { v = fn(ctx, i) })
+			return v
 		})
 	}
 	rows, err := resilientGrid(opt, label, n, func(ctx context.Context, i int) (T, error) {
@@ -185,8 +212,9 @@ func grid[T any](opt Options, label string, n int, fn func(ctx context.Context, 
 // gridErr is grid for cells that can fail (see parallel.MapErr).
 func gridErr[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if !opt.resilient() {
-		return parallel.MapErrProgress(opt.Jobs, n, opt.Progress, label, func(i int) (T, error) {
-			return fn(context.Background(), i)
+		return parallel.MapErrProgress(opt.Jobs, n, opt.Progress, label, func(i int) (v T, err error) {
+			inCell(opt.labelCtx(), label, i, func(ctx context.Context) { v, err = fn(ctx, i) })
+			return v, err
 		})
 	}
 	return resilientGrid(opt, label, n, fn)
@@ -209,7 +237,7 @@ func resilientGrid[T any](opt Options, label string, n int, fn func(ctx context.
 	hash := cellHash[T](opt)
 	run := parallel.Run{
 		Jobs:          opt.Jobs,
-		Ctx:           opt.Ctx,
+		Ctx:           opt.labelCtx(),
 		CellTimeout:   opt.CellTimeout,
 		Retry:         opt.Retry,
 		Quarantine:    opt.Quarantine,
@@ -232,7 +260,9 @@ func resilientGrid[T any](opt Options, label string, n int, fn func(ctx context.
 		if cerr := opt.Chaos.Disrupt(ctx, label, i, attempt); cerr != nil {
 			return zero, cerr
 		}
-		v, ferr := fn(ctx, i)
+		var v T
+		var ferr error
+		inCell(ctx, label, i, func(ctx context.Context) { v, ferr = fn(ctx, i) })
 		if ferr != nil {
 			return zero, ferr
 		}
@@ -250,17 +280,45 @@ func resilientGrid[T any](opt Options, label string, n int, fn func(ctx context.
 }
 
 // cellHash condenses everything that determines a cell's row — the
-// fidelity level, the seed, and the row type — into the journal entry
-// key, so a journal never replays across configurations or row shapes.
+// build, the fidelity level, the seed, and the row type — into the
+// journal entry key, so a journal never replays across builds,
+// configurations or row shapes.
 func cellHash[T any](opt Options) string {
 	var zero T
 	return journal.ContentHash(
+		buildID,
 		fmt.Sprintf("%T", zero),
 		strconv.FormatBool(opt.Quick),
 		strconv.FormatUint(opt.seed(), 10),
 		strconv.FormatUint(opt.ops(), 10),
 		strconv.Itoa(opt.scale()),
 	)
+}
+
+// buildID identifies the code that computes the rows: the VCS revision
+// and dirty flag the go toolchain stamps into the binary. A resume
+// after a rebuild at another revision therefore recomputes instead of
+// replaying the old code's rows. Builds without VCS stamps (go test,
+// -buildvcs=false, a tree outside version control) all share one
+// identity, as do successive edits of a dirty tree. Tests substitute
+// other identities.
+var buildID = readBuildID()
+
+func readBuildID() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev, modified string
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value
+		}
+	}
+	return "vcs.revision=" + rev + " vcs.modified=" + modified
 }
 
 // replayCell decodes a journaled row back into the grid's row type.
@@ -329,11 +387,14 @@ func runRecovering(e Experiment, opt Options) (err error) {
 			err = fmt.Errorf("experiments: %s panicked: %v", e.Name, r)
 		}
 	}()
-	data, err := e.Run(opt)
-	if err != nil {
-		return err
-	}
-	return writeArtifact(opt, e.Name, data)
+	pprof.Do(opt.labelCtx(), pprof.Labels("experiment", e.Name), func(ctx context.Context) {
+		opt.labels = ctx
+		var data any
+		if data, err = e.Run(opt); err == nil {
+			err = writeArtifact(opt, e.Name, data)
+		}
+	})
+	return err
 }
 
 func header(w io.Writer, title string) {

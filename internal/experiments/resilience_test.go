@@ -210,6 +210,35 @@ func TestJournalDoesNotReplayAcrossConfigs(t *testing.T) {
 	}
 }
 
+// TestJournalDoesNotReplayAcrossBuilds: a journal written by one build
+// must not replay into a resume under another, or the resumed output
+// mixes the old code's rows into the new code's.
+func TestJournalDoesNotReplayAcrossBuilds(t *testing.T) {
+	defer func(id string) { buildID = id }(buildID)
+	dir := t.TempDir()
+	run := func(build string) journal.Stats {
+		t.Helper()
+		buildID = build
+		resetMemos()
+		j, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if err := Run("fig2", Options{Out: io.Discard, Quick: true, Seed: 42, Journal: j}); err != nil {
+			t.Fatal(err)
+		}
+		return j.Stats()
+	}
+	run("vcs.revision=aaaa vcs.modified=false")
+	if st := run("vcs.revision=bbbb vcs.modified=false"); st.Replayed != 0 {
+		t.Fatalf("build B replayed %d cells journaled by build A", st.Replayed)
+	}
+	if st := run("vcs.revision=bbbb vcs.modified=false"); st.Replayed == 0 {
+		t.Fatal("build B did not replay its own journal")
+	}
+}
+
 func TestCellHashDiscriminates(t *testing.T) {
 	base := Options{Quick: true, Seed: 42}
 	h := cellHash[Fig2Row](base)
@@ -224,6 +253,11 @@ func TestCellHashDiscriminates(t *testing.T) {
 	}
 	if h == cellHash[Fig2Row](Options{Quick: true, Seed: 7, SeedSet: true}) {
 		t.Fatal("cellHash ignores the seed")
+	}
+	defer func(id string) { buildID = id }(buildID)
+	buildID += "-rebuilt"
+	if h == cellHash[Fig2Row](base) {
+		t.Fatal("cellHash ignores the build")
 	}
 }
 

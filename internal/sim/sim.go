@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/pprof"
 
 	"compresso/internal/audit"
 	"compresso/internal/cache"
@@ -535,8 +536,24 @@ func scaled(p workload.Profile, scale int) workload.Profile {
 	return workload.Scale(p, scale)
 }
 
+// inBackend runs f under the pprof label "backend" naming the system,
+// added to the labels cfg.Cancel carries (an experiment grid cell's),
+// so `pprof -tagfocus` can split a CPU profile by backend.
+func inBackend(cfg Config, f func()) {
+	ctx := cfg.Cancel
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pprof.Do(ctx, pprof.Labels("backend", string(cfg.System)), func(context.Context) { f() })
+}
+
 // RunSingle simulates one benchmark on a single-core system.
-func RunSingle(prof workload.Profile, cfg Config) Result {
+func RunSingle(prof workload.Profile, cfg Config) (res Result) {
+	inBackend(cfg, func() { res = runSingle(prof, cfg) })
+	return res
+}
+
+func runSingle(prof workload.Profile, cfg Config) Result {
 	prof = scaled(prof, cfg.FootprintScale)
 	var tr workload.OpStream
 	if cfg.Assets != nil {
@@ -799,7 +816,12 @@ func (m MultiResult) WeightedSpeedup(base MultiResult) (float64, error) {
 // RunMix simulates a multi-core mix sharing the L3, controller and
 // DRAM. Cores interleave in local-time order (the syncedFastForward
 // analogue: everyone starts at its region and contends throughout).
-func RunMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
+func RunMix(mixName string, profs []workload.Profile, cfg Config) (res MultiResult) {
+	inBackend(cfg, func() { res = runMix(mixName, profs, cfg) })
+	return res
+}
+
+func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	n := len(profs)
 	if n == 0 {
 		panic("sim: empty mix")
