@@ -5,7 +5,7 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
+.PHONY: check vet fmt-check build test race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak loc
 
 check: vet fmt-check build test race bench-kernels bench-hotloop backends fleet obs-smoke chaos
 
@@ -212,6 +212,15 @@ soak:
 	out_sha=$$(cd .soak/out-json && sha256sum * | sha256sum); \
 	[ "$$ref_sha" = "$$out_sha" ] || { echo "soak: artifacts diverged from clean run"; exit 1; }; \
 	echo "soak: ok (survived SIGKILL loop; output and artifacts byte-identical)"
+
+# Line delta of the non-test Go code against $(BASE): added, removed
+# and net lines of every tracked (or staged) non-test .go file, per
+# `git diff --numstat`. BASE defaults to HEAD, i.e. the uncommitted
+# change; pass BASE=<commit> to measure a branch.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{a += $$1; r += $$2} END {printf "non-test Go lines vs $(BASE): +%d -%d net %+d\n", a, r, a - r}'
 
 # Longer fuzz of the controller invariants (the default corpus runs
 # as part of `test`).

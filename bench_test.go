@@ -159,7 +159,7 @@ func BenchmarkHotLoopMix(b *testing.B) {
 		baseCfg.FootprintScale = scale
 		baseCfg.Seed = seed
 		assets := sim.PrepareAssets(profs, baseCfg, compress.BPC{}, *jobs)
-		runs := parallel.Map(parallel.Workers(*jobs, len(systems)), len(systems), func(i int) sim.MultiResult {
+		runs := parallel.Map(*jobs, len(systems), func(i int) sim.MultiResult {
 			cfg := sim.DefaultConfig(systems[i])
 			cfg.Ops = ops
 			cfg.FootprintScale = scale

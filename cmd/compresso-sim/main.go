@@ -796,7 +796,7 @@ func runMixCLI(name string, ops uint64, scale int, seed uint64, inject string, a
 		res  sim.MultiResult
 		snap obs.Snapshot
 	}
-	runs := parallel.Map(parallel.Workers(jobs, len(systems)), len(systems), func(i int) mixRun {
+	runs := parallel.Map(jobs, len(systems), func(i int) mixRun {
 		s := systems[i]
 		cfg := sim.DefaultConfig(s)
 		cfg.Ops = ops
@@ -862,7 +862,7 @@ func runBench(bench, system string, ops uint64, scale int, seed uint64, compare 
 		res  sim.Result
 		snap obs.Snapshot
 	}
-	runs := parallel.Map(parallel.Workers(jobs, len(systems)), len(systems), func(i int) benchRun {
+	runs := parallel.Map(jobs, len(systems), func(i int) benchRun {
 		s := systems[i]
 		cfg := sim.DefaultConfig(s)
 		cfg.Ops = ops

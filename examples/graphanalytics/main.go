@@ -62,7 +62,7 @@ func main() {
 		cfg.Ops = ops
 		cfg.FootprintScale = scale
 		en := enabled
-		cfg.CompressoMod = func(c *core.Config) { c.MetadataCache.HalfEntry = en }
+		cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) { c.MetadataCache.HalfEntry = en }}
 		res := sim.RunSingle(prof, cfg)
 		if !enabled {
 			baseCycles = res.Cycles

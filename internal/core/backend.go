@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
-
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 )
 
-// Registered backend (DESIGN.md §12). Mod is func(*core.Config), the
-// same hook sim.Config.CompressoMod has always carried.
+// Registered backend (DESIGN.md §12). Mod is func(*core.Config), set
+// as sim.Config.Mods["compresso"] by the ablations.
 func init() {
 	memctl.RegisterBackend(memctl.Backend{
 		Name:         "compresso",
@@ -17,13 +15,7 @@ func init() {
 		New: func(p memctl.BuildParams) memctl.Controller {
 			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
 			c.Overlap = p.Overlap // before Mod: ablation hooks may override
-			if p.Mod != nil {
-				mod, ok := p.Mod.(func(*Config))
-				if !ok {
-					panic(fmt.Sprintf("core: backend mod has type %T, want func(*core.Config)", p.Mod))
-				}
-				mod(&c)
-			}
+			memctl.ApplyMod(p, &c)
 			metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
 			c.Faults = p.Injector
 			return New(c, p.Mem, p.Source)

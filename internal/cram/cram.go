@@ -453,13 +453,7 @@ func init() {
 		MachineBytes: memctl.BaselineMachineBytes,
 		New: func(p memctl.BuildParams) memctl.Controller {
 			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
-			if p.Mod != nil {
-				mod, ok := p.Mod.(func(*Config))
-				if !ok {
-					panic(fmt.Sprintf("cram: backend mod has type %T, want func(*cram.Config)", p.Mod))
-				}
-				mod(&c)
-			}
+			memctl.ApplyMod(p, &c)
 			return New(c, p.Mem, p.Source)
 		},
 	})

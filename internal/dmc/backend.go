@@ -1,8 +1,6 @@
 package dmc
 
 import (
-	"fmt"
-
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 )
@@ -16,13 +14,7 @@ func init() {
 			MachineBytes: memctl.CompressedMachineBytes,
 			New: func(p memctl.BuildParams) memctl.Controller {
 				c := base(p.OSPAPages, p.MachineBytes)
-				if p.Mod != nil {
-					mod, ok := p.Mod.(func(*Config))
-					if !ok {
-						panic(fmt.Sprintf("dmc: backend mod has type %T, want func(*dmc.Config)", p.Mod))
-					}
-					mod(&c)
-				}
+				memctl.ApplyMod(p, &c)
 				metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
 				return New(c, p.Mem, p.Source)
 			},

@@ -37,7 +37,7 @@ func AbBinsData(opt Options) []AbBinsRow {
 			cfg.Ops = opt.ops()
 			cfg.FootprintScale = opt.scale()
 			cfg.Seed = opt.seed()
-			cfg.CompressoMod = mod
+			cfg.Mods = map[string]any{string(sim.Compresso): mod}
 			cfg.Cancel = ctx
 			return sim.RunSingle(prof, cfg)
 		}
@@ -108,7 +108,7 @@ func AbAlignData(opt Options) []AbAlignRow {
 			cfg.Ops = opt.ops()
 			cfg.FootprintScale = opt.scale()
 			cfg.Seed = opt.seed()
-			cfg.CompressoMod = func(c *core.Config) { baselineMod(c); c.Bins = bins }
+			cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) { baselineMod(c); c.Bins = bins }}
 			cfg.Cancel = ctx
 			return sim.RunSingle(prof, cfg)
 		}

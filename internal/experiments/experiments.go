@@ -54,10 +54,10 @@ type Options struct {
 	// Progress sink attached (DESIGN.md §9).
 	Progress parallel.Progress
 
-	// Resilience options (DESIGN.md §11). Any of them switches the
-	// grids from the plain deterministic fan-out to the resilient
-	// engine (parallel.MapResilient); results stay byte-identical on
-	// success either way.
+	// Resilience options (DESIGN.md §11). Every grid runs on
+	// parallel.MapResilient; left zero, each cell runs once and the
+	// first failure aborts the grid. Results stay byte-identical on
+	// success whatever the policy.
 
 	// Ctx cancels the run: queued cells are skipped, in-flight
 	// simulation cells abort cooperatively (sim.Config.Cancel), and
@@ -109,13 +109,6 @@ func (o Options) labelCtx() context.Context {
 // experiment, grid and cell.
 func inCell(ctx context.Context, label string, i int, f func(ctx context.Context)) {
 	pprof.Do(ctx, pprof.Labels("grid", label, "cell", strconv.Itoa(i)), f)
-}
-
-// resilient reports whether any resilience feature routes the grids
-// through parallel.MapResilient.
-func (o Options) resilient() bool {
-	return o.Ctx != nil || o.CellTimeout > 0 || o.Retry.MaxAttempts > 1 ||
-		o.Quarantine || o.Chaos != nil || o.Journal != nil
 }
 
 // ops and scale return the trace length and footprint divisor for the
@@ -184,23 +177,15 @@ func Run(name string, opt Options) error {
 }
 
 // grid fans an experiment's simulation cells out under opt's job
-// bound, reporting per-cell progress to opt.Progress under label. The
-// cell function receives the grid context (context.Background when no
-// resilience feature is active); cells that build a sim.Config should
-// install it as Config.Cancel so in-flight work aborts cooperatively.
-//
-// When a resilience option is set the grid runs on
-// parallel.MapResilient; a fatal grid error (cancellation, exhausted
-// retries outside quarantine mode) unwinds as a gridFatal panic, which
-// runRecovering converts back to the experiment's error.
+// bound and resilience policy, reporting per-cell progress to
+// opt.Progress under label. The cell function receives the grid
+// context; cells that build a sim.Config should install it as
+// Config.Cancel so in-flight work aborts cooperatively. A fatal grid
+// error (a panicking cell, cancellation, exhausted retries outside
+// quarantine mode) unwinds as a gridFatal panic, which runRecovering
+// converts back to the experiment's error.
 func grid[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) T) []T {
-	if !opt.resilient() {
-		return parallel.MapProgress(opt.Jobs, n, opt.Progress, label, func(i int) (v T) {
-			inCell(opt.labelCtx(), label, i, func(ctx context.Context) { v = fn(ctx, i) })
-			return v
-		})
-	}
-	rows, err := resilientGrid(opt, label, n, func(ctx context.Context, i int) (T, error) {
+	rows, err := gridErr(opt, label, n, func(ctx context.Context, i int) (T, error) {
 		return fn(ctx, i), nil
 	})
 	if err != nil {
@@ -209,32 +194,26 @@ func grid[T any](opt Options, label string, n int, fn func(ctx context.Context, 
 	return rows
 }
 
-// gridErr is grid for cells that can fail (see parallel.MapErr).
-func gridErr[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if !opt.resilient() {
-		return parallel.MapErrProgress(opt.Jobs, n, opt.Progress, label, func(i int) (v T, err error) {
-			inCell(opt.labelCtx(), label, i, func(ctx context.Context) { v, err = fn(ctx, i) })
-			return v, err
-		})
-	}
-	return resilientGrid(opt, label, n, fn)
-}
-
-// gridFatal carries a resilient grid's fatal error out of grid (which
-// has no error return); runRecovering unwraps it so errors.Is chains
-// survive the unwind.
+// gridFatal carries a grid's fatal error out of grid (which has no
+// error return); runRecovering unwraps it so errors.Is chains survive
+// the unwind.
 type gridFatal struct{ err error }
 
 // Error makes the panic value render as its cause when a recover site
 // formats it with %v (e.g. the memo cache's poison message).
 func (g gridFatal) Error() string { return g.err.Error() }
 
-// resilientGrid executes one grid on parallel.MapResilient: journal
-// replay and record around each cell, chaos disruption per attempt,
-// retry/deadline/quarantine per opt, and the grid's quarantined cells
-// appended to opt.Failures.
-func resilientGrid[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	hash := cellHash[T](opt)
+// gridErr is grid for cells that can fail. It executes one grid on
+// parallel.MapResilient: journal replay and record around each cell,
+// chaos disruption per attempt, retry/deadline/quarantine per opt, and
+// the grid's quarantined cells appended to opt.Failures. The first
+// fatal cell cancels the queued ones; the returned error is the
+// lowest-index failure among the cells that ran.
+func gridErr[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	var hash string
+	if opt.Journal != nil {
+		hash = cellHash[T](opt)
+	}
 	run := parallel.Run{
 		Jobs:          opt.Jobs,
 		Ctx:           opt.labelCtx(),
@@ -356,15 +335,16 @@ func RunAll(opt Options) error {
 		text string
 		err  error
 	}
-	outs := parallel.MapProgress(opt.Jobs, len(list), opt.Progress, "all", func(i int) outcome {
+	run := parallel.Run{Jobs: opt.Jobs, Progress: opt.Progress, Label: "all"}
+	outs, _, err := parallel.MapResilient(run, len(list), func(_ context.Context, i, _ int) (outcome, error) {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return outcome{err: fmt.Errorf("experiments: %s skipped: %w", list[i].Name, opt.Ctx.Err())}
+			return outcome{err: fmt.Errorf("experiments: %s skipped: %w", list[i].Name, opt.Ctx.Err())}, nil
 		}
 		var buf bytes.Buffer
 		sub := opt
 		sub.Out = &buf
 		err := runRecovering(list[i], sub)
-		return outcome{text: buf.String(), err: err}
+		return outcome{text: buf.String(), err: err}, nil
 	})
 	var errs []error
 	for i, o := range outs {
@@ -374,7 +354,7 @@ func RunAll(opt Options) error {
 			errs = append(errs, o.err)
 		}
 	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, err)...)
 }
 
 func runRecovering(e Experiment, opt Options) (err error) {

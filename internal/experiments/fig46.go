@@ -66,15 +66,15 @@ func Fig4Data(opt Options) []Fig4Row {
 		cfg.Ops = opt.ops()
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
-		cfg.CompressoMod = baselineMod
+		cfg.Mods = map[string]any{string(sim.Compresso): baselineMod}
 		cfg.Cancel = ctx
 		fixed := sim.RunSingle(prof, cfg)
 
-		cfg.CompressoMod = func(c *core.Config) {
+		cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) {
 			baselineMod(c)
 			c.Allocation = core.VariableChunks
 			c.PageSizes = []int{1, 2, 4, 8}
-		}
+		}}
 		variable := sim.RunSingle(prof, cfg)
 
 		return Fig4Row{
@@ -158,7 +158,7 @@ func Fig6Data(opt Options) []Fig6Row {
 		cfg.Ops = opt.ops()
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
-		cfg.CompressoMod = mod
+		cfg.Mods = map[string]any{string(sim.Compresso): mod}
 		cfg.Cancel = ctx
 		res := sim.RunSingle(prof, cfg)
 		return breakdown(res).Total()

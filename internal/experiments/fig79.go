@@ -34,7 +34,7 @@ func Fig7Data(opt Options) []Fig7Row {
 		cfg.Cancel = ctx
 		with := sim.RunSingle(prof, cfg)
 
-		cfg.CompressoMod = func(c *core.Config) { c.DynamicRepacking = false }
+		cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) { c.DynamicRepacking = false }}
 		without := sim.RunSingle(prof, cfg)
 
 		return Fig7Row{

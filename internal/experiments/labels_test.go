@@ -10,8 +10,8 @@ import (
 )
 
 // TestGridCellsCarryProfilerLabels: every grid cell runs under the
-// experiment, grid and cell pprof labels, on the plain and the
-// resilient engine alike, so a CPU profile splits by them.
+// experiment, grid and cell pprof labels, with a zero and a retry
+// policy alike, so a CPU profile splits by them.
 func TestGridCellsCarryProfilerLabels(t *testing.T) {
 	labels := func(ctx context.Context) string {
 		var s string
@@ -22,8 +22,8 @@ func TestGridCellsCarryProfilerLabels(t *testing.T) {
 		return s
 	}
 	for name, opt := range map[string]Options{
-		"plain":     {Out: io.Discard, Jobs: 2},
-		"resilient": {Out: io.Discard, Jobs: 2, Retry: parallel.RetryPolicy{MaxAttempts: 2}},
+		"zero-policy": {Out: io.Discard, Jobs: 2},
+		"retry":       {Out: io.Discard, Jobs: 2, Retry: parallel.RetryPolicy{MaxAttempts: 2}},
 	} {
 		var got []string
 		e := Experiment{Name: "probe", Run: func(opt Options) (any, error) {

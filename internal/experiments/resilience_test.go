@@ -71,32 +71,29 @@ func (c *cancelAfter) GridCell(string, int, time.Duration) {
 	}
 }
 
-// TestResilientMatchesLegacy: routing a grid through the resilient
-// engine (here: just a background context) must not change a byte of
-// output or artifacts versus the legacy fan-out.
-func TestResilientMatchesLegacy(t *testing.T) {
-	legacyDir, resDir := t.TempDir(), t.TempDir()
+// TestNilCtxMatchesBackgroundCtx: every grid runs on the one engine,
+// and the grid context it is handed must not matter — a nil Ctx and a
+// background Ctx give byte-identical output and artifacts.
+func TestNilCtxMatchesBackgroundCtx(t *testing.T) {
+	nilDir, bgDir := t.TempDir(), t.TempDir()
 
 	resetMemos()
-	var legacy bytes.Buffer
-	if err := Run("fig2", Options{Out: &legacy, Quick: true, Seed: 42, Jobs: 4, JSONDir: legacyDir}); err != nil {
+	var nilOut bytes.Buffer
+	if err := Run("fig2", Options{Out: &nilOut, Quick: true, Seed: 42, Jobs: 4, JSONDir: nilDir}); err != nil {
 		t.Fatal(err)
 	}
 
 	resetMemos()
-	var res bytes.Buffer
-	opt := Options{Out: &res, Quick: true, Seed: 42, Jobs: 4, JSONDir: resDir, Ctx: context.Background()}
-	if !opt.resilient() {
-		t.Fatal("context did not select the resilient engine")
-	}
+	var bgOut bytes.Buffer
+	opt := Options{Out: &bgOut, Quick: true, Seed: 42, Jobs: 4, JSONDir: bgDir, Ctx: context.Background()}
 	if err := Run("fig2", opt); err != nil {
 		t.Fatal(err)
 	}
 
-	if legacy.String() != res.String() {
-		t.Fatal("resilient engine changed the rendered output")
+	if nilOut.String() != bgOut.String() {
+		t.Fatal("a background context changed the rendered output")
 	}
-	sameArtifacts(t, "resilient-vs-legacy", readArtifacts(t, resDir), readArtifacts(t, legacyDir))
+	sameArtifacts(t, "nil-vs-background-ctx", readArtifacts(t, bgDir), readArtifacts(t, nilDir))
 }
 
 // TestJournalResumeAfterCancel pins the tentpole contract: a journaled

@@ -64,10 +64,26 @@ type BuildParams struct {
 	Overlap bool
 
 	// Mod is the backend-specific config modifier routed from
-	// sim.Config (nil when none). Each backend documents its expected
-	// function type and panics on a mismatch — a silently dropped
-	// ablation hook is worse than a crash.
+	// sim.Config.Mods (nil when none). Each backend documents its
+	// expected function type and applies it with ApplyMod.
 	Mod any
+}
+
+// ApplyMod runs p.Mod on a backend's config c. Mod must be a
+// func(*C): a nil Mod, or a typed-nil func(*C), leaves c as it is; any
+// other type panics — a silently dropped ablation hook is worse than a
+// crash.
+func ApplyMod[C any](p BuildParams, c *C) {
+	if p.Mod == nil {
+		return
+	}
+	mod, ok := p.Mod.(func(*C))
+	if !ok {
+		panic(fmt.Sprintf("memctl: backend mod has type %T, want %T", p.Mod, mod))
+	}
+	if mod != nil {
+		mod(c)
+	}
 }
 
 // Backend is one registered memory-controller architecture: a name the

@@ -70,7 +70,8 @@ type Entry struct {
 	InflatedCount uint8
 
 	// FreeSpace tracks the reclaimable bytes in the page, updated on
-	// underflows so repacking can be triggered cheaply (§IV-B4).
+	// underflows so repacking can be triggered cheaply (§IV-B4). The
+	// packed field is 12 bits, so it holds 0..PageSize-1.
 	FreeSpace uint16
 
 	// MPFN holds the machine chunk numbers backing the page; entries
@@ -144,7 +145,7 @@ func (e *Entry) validate() {
 	if e.InflatedCount > MaxInflated {
 		panic(fmt.Sprintf("metadata: inflated count %d", e.InflatedCount))
 	}
-	if int(e.FreeSpace) > PageSize {
+	if int(e.FreeSpace) >= PageSize {
 		panic(fmt.Sprintf("metadata: free space %d", e.FreeSpace))
 	}
 	for _, m := range e.MPFN {

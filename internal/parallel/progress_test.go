@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"sync"
@@ -36,10 +38,18 @@ func (r *recorder) GridEnd(label string) {
 	r.ends = append(r.ends, label)
 }
 
+// The MapProgress/MapErrProgress tests below keep the names of the
+// entry points they first pinned; the behaviour now runs on
+// MapResilient with a zero policy, the one engine behind every grid.
+
 func TestMapProgressReportsEveryCellOnce(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		rec := &recorder{}
-		out := MapProgress(jobs, 10, rec, "g", func(i int) int { return i * i })
+		out, _, err := MapResilient(Run{Jobs: jobs, Progress: rec, Label: "g"}, 10,
+			func(_ context.Context, i, _ int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("jobs=%d: out[%d] = %d", jobs, i, v)
@@ -64,7 +74,11 @@ func TestMapProgressReportsEveryCellOnce(t *testing.T) {
 func TestMapProgressResultsMatchMap(t *testing.T) {
 	fn := func(i int) int { return i*7 + 1 }
 	plain := Map(3, 20, fn)
-	tracked := MapProgress(3, 20, &recorder{}, "g", fn)
+	tracked, _, err := MapResilient(Run{Jobs: 3, Progress: &recorder{}, Label: "g"}, 20,
+		func(_ context.Context, i, _ int) (int, error) { return fn(i), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(plain, tracked) {
 		t.Fatal("progress sink changed results")
 	}
@@ -72,9 +86,8 @@ func TestMapProgressResultsMatchMap(t *testing.T) {
 
 func TestMapErrProgress(t *testing.T) {
 	rec := &recorder{}
-	_, err := MapErrProgress(2, 5, rec, "e", func(i int) (int, error) {
-		return i, nil
-	})
+	_, _, err := MapResilient(Run{Jobs: 2, Progress: rec, Label: "e"}, 5,
+		func(_ context.Context, i, _ int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,35 +96,46 @@ func TestMapErrProgress(t *testing.T) {
 	}
 }
 
-func TestProgressGridEndFiresOnPanic(t *testing.T) {
-	rec := &recorder{}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic did not propagate")
-			}
-		}()
-		MapProgress(2, 4, rec, "p", func(i int) int {
-			if i == 2 {
-				panic("boom")
-			}
-			return i
-		})
-	}()
-	if !reflect.DeepEqual(rec.ends, []string{"p"}) {
-		t.Fatalf("GridEnd not reported on panic: %v", rec.ends)
+func TestMapProgressNilSink(t *testing.T) {
+	out, _, err := MapResilient(Run{Jobs: 2}, 3,
+		func(_ context.Context, i, _ int) (int, error) { return i, nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The panicking cell reports no GridCell.
-	for _, c := range rec.cells {
-		if c == 2 {
-			t.Fatal("panicking cell reported a GridCell")
-		}
+	if !reflect.DeepEqual(out, []int{0, 1, 2}) {
+		t.Fatalf("out = %v", out)
 	}
 }
 
-func TestMapProgressNilSink(t *testing.T) {
-	out := MapProgress(2, 3, nil, "", func(i int) int { return i })
-	if !reflect.DeepEqual(out, []int{0, 1, 2}) {
-		t.Fatalf("out = %v", out)
+// TestProgressGridEndFiresOnPanic: a failing cell — panicking or
+// returning an error — still closes the grid with GridEnd, and reports
+// its own GridCell like any finished cell.
+func TestProgressGridEndFiresOnPanic(t *testing.T) {
+	for _, panics := range []bool{true, false} {
+		rec := &recorder{}
+		_, _, err := MapResilient(Run{Jobs: 2, Progress: rec, Label: "p"}, 4,
+			func(_ context.Context, i, _ int) (int, error) {
+				if i == 2 {
+					if panics {
+						panic("boom")
+					}
+					return 0, errors.New("boom")
+				}
+				return i, nil
+			})
+		var pe *PanicError
+		if err == nil || errors.As(err, &pe) != panics {
+			t.Fatalf("panics=%v: err = %v", panics, err)
+		}
+		if !reflect.DeepEqual(rec.ends, []string{"p"}) {
+			t.Fatalf("panics=%v: GridEnd not reported on failure: %v", panics, rec.ends)
+		}
+		reported := false
+		for _, c := range rec.cells {
+			reported = reported || c == 2
+		}
+		if !reported {
+			t.Fatalf("panics=%v: failing cell reported no GridCell: %v", panics, rec.cells)
+		}
 	}
 }

@@ -1,9 +1,8 @@
 // Resilient grid execution: context plumbing, per-cell deadlines,
 // bounded retry with deterministic exponential backoff, and failure
-// quarantine. MapResilient is the engine behind the experiment grids
-// when any resilience feature is active; the plain Map/MapErr entry
-// points keep their historical semantics (all cells run, lowest-index
-// error, panics re-panic) untouched.
+// quarantine. MapResilient is the one engine behind the experiment
+// grids; with a zero Run every cell runs once, results land by index
+// and the lowest-index failure is the grid error.
 //
 // The determinism contract extends to failures (DESIGN.md §11):
 //
@@ -387,7 +386,7 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 		}
 	}
 
-	fanOut(run.Jobs, n, nil, "", cell)
+	fanOut(run.Jobs, n, cell)
 
 	// Deterministic error selection: the lowest-index fatal error that
 	// is not itself a cancellation consequence; then the cancel cause;

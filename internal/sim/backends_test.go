@@ -10,9 +10,14 @@ import (
 	"testing"
 
 	"compresso/internal/audit"
+	"compresso/internal/core"
+	"compresso/internal/cram"
+	"compresso/internal/cxl"
 	"compresso/internal/datagen"
+	"compresso/internal/dmc"
 	"compresso/internal/dram"
 	"compresso/internal/faults"
+	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 	"compresso/internal/obs"
@@ -48,6 +53,12 @@ func (im *oracleImage) set(addr uint64, data []byte) {
 // buildBackend constructs a small world for one registered backend.
 func buildBackend(t *testing.T, b memctl.Backend, pages int) (memctl.Controller, *oracleImage) {
 	t.Helper()
+	return buildBackendMod(t, b, pages, nil)
+}
+
+// buildBackendMod is buildBackend with a config modifier (BuildParams.Mod).
+func buildBackendMod(t *testing.T, b memctl.Backend, pages int, mod any) (memctl.Controller, *oracleImage) {
+	t.Helper()
 	im := newOracle()
 	mem := dram.New(dram.DDR4_2666())
 	ctl := b.New(memctl.BuildParams{
@@ -57,6 +68,7 @@ func buildBackend(t *testing.T, b memctl.Backend, pages int) (memctl.Controller,
 		Mem:            mem,
 		Source:         im,
 		Injector:       faults.New(faults.Config{}),
+		Mod:            mod,
 	})
 	if ctl == nil {
 		t.Fatalf("backend %q: New returned nil", b.Name)
@@ -71,9 +83,58 @@ func installOracle(ctl memctl.Controller, im *oracleImage, page uint64, lines []
 	ctl.InstallPage(page, lines)
 }
 
+// backendModTypes holds, per registered backend, a typed-nil value of
+// the modifier type it takes (sim.Config.Mods); nil marks a backend
+// with no config to modify.
+var backendModTypes = map[string]any{
+	"uncompressed": nil,
+	"compresso":    (func(*core.Config))(nil),
+	"lcp":          (func(*lcp.Config))(nil),
+	"lcp-align":    (func(*lcp.Config))(nil),
+	"dmc":          (func(*dmc.Config))(nil),
+	"mxt":          (func(*dmc.Config))(nil),
+	"cram":         (func(*cram.Config))(nil),
+	"cxl":          (func(*cxl.Config))(nil),
+}
+
+// checkModHook pins memctl.ApplyMod's contract for one backend: a
+// typed-nil modifier of the backend's own type is no modifier at all,
+// and a modifier of any other type panics.
+func checkModHook(t *testing.T, b memctl.Backend) {
+	t.Helper()
+	typedNil, known := backendModTypes[b.Name]
+	if !known {
+		t.Fatalf("backend %q: add its modifier type to backendModTypes", b.Name)
+	}
+	if typedNil == nil {
+		return
+	}
+	install := func(ctl memctl.Controller, im *oracleImage) int64 {
+		r := rng.New(3)
+		for p := uint64(0); p < 2; p++ {
+			lines := make([][]byte, metadata.LinesPerPage)
+			for i := range lines {
+				lines[i] = datagen.Line(r, datagen.Kind(int(p)%int(datagen.NKinds)))
+			}
+			installOracle(ctl, im, p, lines)
+		}
+		return ctl.CompressedBytes()
+	}
+	plain := install(buildBackend(t, b, 2))
+	if got := install(buildBackendMod(t, b, 2, typedNil)); got != plain {
+		t.Fatalf("typed-nil %T modifier changed the build: %d compressed bytes, want %d", typedNil, got, plain)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a func(*struct{}) modifier did not panic")
+		}
+	}()
+	buildBackendMod(t, b, 2, func(*struct{}) {})
+}
+
 // TestBackendConformance is the registry-wide contract check: any
 // backend registered via memctl.RegisterBackend is picked up here with
-// no test changes.
+// no test changes beyond naming its modifier type.
 func TestBackendConformance(t *testing.T) {
 	const pages = 8
 	for _, b := range memctl.Backends() {
@@ -85,6 +146,7 @@ func TestBackendConformance(t *testing.T) {
 			if mb := b.MachineBytes(pages); mb < int64(pages)*metadata.PageSize {
 				t.Fatalf("MachineBytes(%d) = %d, smaller than the raw footprint", pages, mb)
 			}
+			checkModHook(t, b)
 			ctl, im := buildBackend(t, b, pages)
 			if ctl.Name() != b.Name {
 				t.Fatalf("controller Name() = %q, registered as %q", ctl.Name(), b.Name)

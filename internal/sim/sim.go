@@ -10,27 +10,27 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 
 	"compresso/internal/audit"
 	"compresso/internal/cache"
 	"compresso/internal/compress"
-	"compresso/internal/core"
 	"compresso/internal/cpu"
 	"compresso/internal/dram"
 	"compresso/internal/faults"
-	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 	"compresso/internal/obs"
 	"compresso/internal/parallel"
 	"compresso/internal/workload"
 
-	// Registered backends without direct config plumbing in this
-	// package: importing them is what makes their names resolvable
-	// (DESIGN.md §12). core and lcp register too, via the imports above.
+	// The registered backends: importing them is what makes their
+	// names resolvable (DESIGN.md §12).
+	_ "compresso/internal/core"
 	_ "compresso/internal/cram"
 	_ "compresso/internal/cxl"
 	_ "compresso/internal/dmc"
+	_ "compresso/internal/lcp"
 )
 
 // System names the memory architecture under test: any backend name
@@ -61,9 +61,6 @@ func (s System) String() string { return string(s) }
 
 // Systems lists the paper's four evaluated systems in order.
 func Systems() []System { return []System{Uncompressed, LCP, LCPAlign, Compresso} }
-
-// ExtendedSystems adds the related-work DMC and MXT baselines.
-func ExtendedSystems() []System { return append(Systems(), DMC, MXT) }
 
 // AllSystems lists every registered backend in name order — the set
 // the backend-parameterized experiments sweep, which grows as new
@@ -98,14 +95,10 @@ type Config struct {
 	CPU  cpu.Config
 	DRAM dram.Config
 
-	// CompressoMod / LCPMod tweak the controller configs (ablations).
-	CompressoMod func(*core.Config)
-	LCPMod       func(*lcp.Config)
-
-	// Mods routes config modifiers to arbitrary registered backends by
-	// name; each backend documents its expected function type (e.g.
-	// func(*cram.Config) for "cram"). An entry here wins over the
-	// legacy CompressoMod/LCPMod fields for its backend.
+	// Mods routes config modifiers (ablations) to registered backends
+	// by name; each backend documents its expected function type (e.g.
+	// func(*core.Config) for "compresso", func(*lcp.Config) for "lcp"
+	// and "lcp-align"). A typed-nil entry means no modifier.
 	Mods map[string]any
 
 	// Inject configures deterministic fault injection (internal/faults).
@@ -408,7 +401,7 @@ type MixAssets struct {
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
 	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
-		p = scaled(p, cfg.FootprintScale)
+		p = workload.Scale(p, cfg.FootprintScale)
 		img := workload.NewImage(p, cfg.Seed+uint64(i)*7919)
 		img.Materialize(jobs)
 		img.SizeAll(codec, jobs)
@@ -416,8 +409,7 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 		a.images = append(a.images, img)
 	}
 	a.logs = make([]*workload.TraceLog, len(a.profs))
-	workers := parallel.Workers(jobs, len(a.profs))
-	parallel.Map(workers, len(a.profs), func(i int) struct{} {
+	parallel.Map(jobs, len(a.profs), func(i int) struct{} {
 		a.logs[i] = workload.RecordTrace(a.images[i].Clone(), a.profs[i],
 			cfg.Seed+uint64(i)*7919, cfg.Ops, codec)
 		return struct{}{}
@@ -470,26 +462,6 @@ func scaledL3Bytes(perCore, scale int) int {
 	return p
 }
 
-// backendMod resolves the backend-specific config modifier for sys:
-// an explicit Mods entry wins, then the legacy typed fields for the
-// backends that predate the registry.
-func (c Config) backendMod(sys System) any {
-	if m, ok := c.Mods[string(sys)]; ok {
-		return m
-	}
-	switch sys {
-	case Compresso:
-		if c.CompressoMod != nil {
-			return c.CompressoMod
-		}
-	case LCP, LCPAlign:
-		if c.LCPMod != nil {
-			return c.LCPMod
-		}
-	}
-	return nil
-}
-
 // buildController resolves the system's registered backend and
 // constructs its controller for the given OSPA page count, together
 // with the run's fault injector (a no-op when cfg.Inject is zero).
@@ -497,10 +469,10 @@ func (c Config) backendMod(sys System) any {
 // runs are never capacity constrained (capacity effects are evaluated
 // by internal/capacity, per the paper's dual methodology) and
 // metadata-free backends are not charged for metadata they don't keep.
-func buildController(cfg Config, sys System, ospaPages int, mem *dram.Memory, src memctl.LineSource) (memctl.Controller, *faults.Injector) {
-	b, ok := memctl.LookupBackend(string(sys))
+func buildController(cfg Config, ospaPages int, mem *dram.Memory, src memctl.LineSource) (memctl.Controller, *faults.Injector) {
+	b, ok := memctl.LookupBackend(string(cfg.System))
 	if !ok {
-		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", sys, memctl.BackendNames()))
+		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", cfg.System, memctl.BackendNames()))
 	}
 	inj := faults.New(cfg.Inject)
 	if inj.Enabled() {
@@ -514,7 +486,7 @@ func buildController(cfg Config, sys System, ospaPages int, mem *dram.Memory, sr
 		Source:         src,
 		Injector:       inj,
 		Overlap:        cfg.Overlap,
-		Mod:            cfg.backendMod(sys),
+		Mod:            cfg.Mods[string(cfg.System)],
 	})
 	return ctl, inj
 }
@@ -532,10 +504,6 @@ func newAuditor(cfg Config, ctl memctl.Controller) *audit.Runner {
 	return audit.NewRunner(a, cfg.AuditEvery)
 }
 
-func scaled(p workload.Profile, scale int) workload.Profile {
-	return workload.Scale(p, scale)
-}
-
 // inBackend runs f under the pprof label "backend" naming the system,
 // added to the labels cfg.Cancel carries (an experiment grid cell's),
 // so `pprof -tagfocus` can split a CPU profile by backend.
@@ -545,87 +513,6 @@ func inBackend(cfg Config, f func()) {
 		ctx = context.Background()
 	}
 	pprof.Do(ctx, pprof.Labels("backend", string(cfg.System)), func(context.Context) { f() })
-}
-
-// RunSingle simulates one benchmark on a single-core system.
-func RunSingle(prof workload.Profile, cfg Config) (res Result) {
-	inBackend(cfg, func() { res = runSingle(prof, cfg) })
-	return res
-}
-
-func runSingle(prof workload.Profile, cfg Config) Result {
-	prof = scaled(prof, cfg.FootprintScale)
-	var tr workload.OpStream
-	if cfg.Assets != nil {
-		tr = cfg.Assets.stream(0, prof, cfg.Seed, cfg.Ops)
-	} else {
-		tr = workload.NewTrace(prof, cfg.Seed, cfg.Ops)
-	}
-	img := tr.Image()
-
-	mem := dram.New(cfg.DRAM)
-	src := &routedSource{basePages: []uint64{0}, images: []*workload.Image{img}}
-	ctl, inj := buildController(cfg, cfg.System, prof.FootprintPages, mem, src)
-	img.InstallInto(ctl)
-	auditor := newAuditor(cfg, ctl)
-	tracer := attachTracer(cfg, ctl)
-	attr := attachAttribution(cfg, ctl)
-
-	l3 := cache.New("l3", scaledL3Bytes(2<<20, cfg.FootprintScale), 16)
-	hier := cache.NewHierarchy(l3)
-	c := cpu.New(cfg.CPU, hier, ctl, src)
-
-	sampler := newRunSampler(cfg)
-	sampleSingle := func() {
-		snap := collect(prof.Name, cfg.System, c, ctl, mem, l3).Registry().Snapshot()
-		sampler.Sample(c.Now(), snap)
-		if cfg.OnSample != nil {
-			cfg.OnSample(c.Now(), snap)
-		}
-	}
-
-	warm := uint64(float64(cfg.Ops) * cfg.WarmupFrac)
-	var op workload.Op
-	for i := uint64(0); i < cfg.Ops; i++ {
-		checkCancel(cfg, i)
-		tr.Next(&op)
-		c.Step(&op)
-		if auditor != nil {
-			if rep := auditor.Tick(); rep != nil {
-				tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
-			}
-		}
-		if cfg.SampleEvery > 0 && (i+1)%cfg.SampleEvery == 0 {
-			sampleSingle()
-		}
-		if i+1 == warm {
-			resetAll(ctl, mem, c, hier)
-			attr.Reset()
-		}
-	}
-	c.Drain()
-	if cfg.SampleEvery > 0 {
-		sampleSingle() // close the partial final window at the drained clock
-	}
-
-	res := collect(prof.Name, cfg.System, c, ctl, mem, l3)
-	res.Series = sampler.Series()
-	if auditor != nil {
-		rep := auditor.Final(audit.Structural)
-		tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
-		res.Audit = auditor.Outcome()
-		// Pick up the final audit's counters: the repair pass touches
-		// both the controller tallies and real DRAM traffic.
-		res.Mem = ctl.Stats()
-		res.Dram = mem.Stats()
-		res.BackendMetrics = backendMetrics(ctl)
-	}
-	res.Faults = inj.Totals()
-	res.Trace = tracer.Trace()
-	if attr != nil {
-		res.Attribution = attr.Snapshot()
-	}
-	return res
 }
 
 // newRunSampler builds the run's windowed time-series sampler from
@@ -697,35 +584,14 @@ func attachAttribution(cfg Config, ctl memctl.Controller) *obs.Attribution {
 // first measured accesses aren't charged wait cycles for warmup
 // traffic the stats no longer count (row buffers and cache contents
 // stay warm).
-func resetAll(ctl memctl.Controller, mem *dram.Memory, hiers ...interface{ ResetStats() }) {
+func resetAll(ctl memctl.Controller, mem *dram.Memory, cores []*cpu.Core, hiers []*cache.Hierarchy) {
 	ctl.ResetStats()
 	mem.ResetStats()
 	mem.ResetTiming()
-	for _, h := range hiers {
-		h.ResetStats()
+	for i := range cores {
+		cores[i].ResetStats()
+		hiers[i].ResetStats()
 	}
-}
-
-func collect(bench string, sys System, c *cpu.Core, ctl memctl.Controller, mem *dram.Memory, l3 *cache.Cache) Result {
-	res := Result{
-		Bench:  bench,
-		System: sys.String(),
-		Cycles: c.Stats().Cycles,
-		Instrs: c.Stats().Instrs,
-		IPC:    c.Stats().IPC(),
-		CPU:    c.Stats(),
-		Mem:    ctl.Stats(),
-		Dram:   mem.Stats(),
-		L3:     l3.Stats(),
-		Ratio:  memctl.CompressionRatio(ctl),
-	}
-	if ms, ok := ctl.(mdStatser); ok {
-		res.MDCache = ms.MetadataCacheStats()
-	}
-	res.L3MissRate = l3.Stats().MissRate()
-	res.PageSizes = pageSizes(ctl)
-	res.BackendMetrics = backendMetrics(ctl)
-	return res
 }
 
 // MultiResult is a 4-core run's outcome: per-core results plus the
@@ -813,15 +679,36 @@ func (m MultiResult) WeightedSpeedup(base MultiResult) (float64, error) {
 	return total / float64(len(m.Cores)), nil
 }
 
+// RunSingle simulates one benchmark on a single-core system: the
+// RunMix loop with one core, projected onto a Result.
+func RunSingle(prof workload.Profile, cfg Config) (res Result) {
+	inBackend(cfg, func() { res = project(runCores("", []workload.Profile{prof}, cfg)) })
+	return res
+}
+
 // RunMix simulates a multi-core mix sharing the L3, controller and
 // DRAM. Cores interleave in local-time order (the syncedFastForward
 // analogue: everyone starts at its region and contends throughout).
 func RunMix(mixName string, profs []workload.Profile, cfg Config) (res MultiResult) {
-	inBackend(cfg, func() { res = runMix(mixName, profs, cfg) })
+	inBackend(cfg, func() { res, _ = runCores(mixName, profs, cfg) })
 	return res
 }
 
-func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
+// project reads a one-core run as a Result: the core's counters plus
+// the memory system and the L3 it had to itself.
+func project(m MultiResult, l3 cache.Stats) Result {
+	r := m.Cores[0]
+	r.Mem, r.Dram, r.MDCache, r.Ratio = m.Mem, m.Dram, m.MDCache, m.Ratio
+	r.L3, r.L3MissRate = l3, l3.MissRate()
+	r.Faults, r.Audit, r.PageSizes, r.Trace = m.Faults, m.Audit, m.PageSizes, m.Trace
+	r.Series, r.BackendMetrics, r.Attribution = m.Series, m.BackendMetrics, m.Attribution
+	return r
+}
+
+// runCores is the one run loop behind RunSingle and RunMix. It returns
+// the shared L3's stats beside the MultiResult, which has no field for
+// them (a single-core Result does).
+func runCores(mixName string, profs []workload.Profile, cfg Config) (MultiResult, cache.Stats) {
 	n := len(profs)
 	if n == 0 {
 		panic("sim: empty mix")
@@ -831,7 +718,7 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	base := make([]uint64, n)
 	var nextPage uint64
 	for i, p := range profs {
-		p = scaled(p, cfg.FootprintScale)
+		p = workload.Scale(p, cfg.FootprintScale)
 		seed := cfg.Seed + uint64(i)*7919
 		if cfg.Assets != nil {
 			traces[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
@@ -842,19 +729,21 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 		base[i] = nextPage
 		nextPage += uint64(p.FootprintPages)
 	}
-	// Multi-core systems get a second memory channel and a shared
-	// metadata cache sized for the combined footprint, the Xeon-class
-	// provisioning the paper's 4-core results imply.
 	dcfg := cfg.DRAM
-	if n > 1 && dcfg.Channels == 1 {
-		dcfg.Channels = 2
+	if n > 1 {
+		// Multi-core systems get a second memory channel and a shared
+		// metadata cache sized for the combined footprint, the
+		// Xeon-class provisioning the paper's 4-core results imply.
+		if dcfg.Channels == 1 {
+			dcfg.Channels = 2
+		}
+		if cfg.FootprintScale > 2 {
+			cfg.FootprintScale /= 2
+		}
 	}
 	mem := dram.New(dcfg)
-	if cfg.FootprintScale > 2 {
-		cfg.FootprintScale /= 2 // shared md cache covers n cores' pages
-	}
 	src := &routedSource{basePages: base, images: images}
-	ctl, inj := buildController(cfg, cfg.System, int(nextPage), mem, src)
+	ctl, inj := buildController(cfg, int(nextPage), mem, src)
 	for i := range images {
 		images[i].InstallIntoAt(ctl, base[i])
 	}
@@ -872,30 +761,56 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 		cores[i] = cpu.New(cfg.CPU, hiers[i], ctl, src)
 	}
 
-	sampler := newRunSampler(cfg)
-	sampleMix := func() {
-		var now uint64
-		for i := range cores {
-			if cores[i].Now() > now {
-				now = cores[i].Now()
-			}
-		}
+	// collect reads the run's live state; the samples and the final
+	// result share it.
+	collect := func() (MultiResult, cache.Stats) {
 		m := MultiResult{
+			MixName:        mixName,
+			System:         cfg.System.String(),
 			Mem:            ctl.Stats(),
 			Dram:           mem.Stats(),
 			Ratio:          memctl.CompressionRatio(ctl),
+			PageSizes:      pageSizes(ctl),
 			BackendMetrics: backendMetrics(ctl),
 		}
 		if ms, ok := ctl.(mdStatser); ok {
 			m.MDCache = ms.MetadataCacheStats()
 		}
-		for i := range cores {
-			m.Cores = append(m.Cores, Result{CPU: cores[i].Stats()})
+		for i, c := range cores {
+			st := c.Stats()
+			m.Cores = append(m.Cores, Result{
+				Bench:  profs[i].Name,
+				System: m.System,
+				Cycles: st.Cycles,
+				Instrs: st.Instrs,
+				IPC:    st.IPC(),
+				CPU:    st,
+			})
 		}
-		snap := m.Registry().Snapshot()
-		sampler.Sample(now, snap)
+		return m, l3.Stats()
+	}
+	now := func() uint64 {
+		var t uint64
+		for _, c := range cores {
+			t = max(t, c.Now())
+		}
+		return t
+	}
+	sampler := newRunSampler(cfg)
+	sample := func() {
+		m, l3s := collect()
+		// A single core samples under RunSingle's registry names
+		// (cpu.*, cache.l3.*), a mix under its per-core ones.
+		var snap obs.Snapshot
+		if n == 1 {
+			snap = project(m, l3s).Registry().Snapshot()
+		} else {
+			snap = m.Registry().Snapshot()
+		}
+		t := now()
+		sampler.Sample(t, snap)
 		if cfg.OnSample != nil {
-			cfg.OnSample(now, snap)
+			cfg.OnSample(t, snap)
 		}
 	}
 
@@ -904,9 +819,7 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	var steps uint64          // total ops across cores (sampling clock)
 	var op workload.Op
 	// WarmupFrac == 0 means "no warmup": start warmed so the minDone
-	// check below cannot reset the statistics one op into the run
-	// (RunSingle's `i+1 == warm` comparison never fires for warm == 0;
-	// this keeps the two runners consistent).
+	// check below cannot reset the statistics one op into the run.
 	warmed := warm == 0
 	for {
 		// Pick the core with the smallest local clock that still has
@@ -935,64 +848,25 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 		done[sel]++
 		steps++
 		if cfg.SampleEvery > 0 && steps%cfg.SampleEvery == 0 {
-			sampleMix()
+			sample()
 		}
-		if !warmed {
-			var minDone uint64 = 1 << 62
-			for _, d := range done {
-				if d < minDone {
-					minDone = d
-				}
-			}
-			if minDone >= warm {
-				rs := make([]interface{ ResetStats() }, 0, len(hiers)+len(cores))
-				for i := range hiers {
-					rs = append(rs, hiers[i])
-				}
-				for i := range cores {
-					rs = append(rs, cores[i])
-				}
-				resetAll(ctl, mem, rs...)
-				attr.Reset()
-				warmed = true
-			}
+		if !warmed && slices.Min(done) >= warm {
+			resetAll(ctl, mem, cores, hiers)
+			attr.Reset()
+			warmed = true
 		}
 	}
-	out := MultiResult{
-		MixName:        mixName,
-		System:         cfg.System.String(),
-		Mem:            ctl.Stats(),
-		Dram:           mem.Stats(),
-		Ratio:          memctl.CompressionRatio(ctl),
-		BackendMetrics: backendMetrics(ctl),
-	}
-	if ms, ok := ctl.(mdStatser); ok {
-		out.MDCache = ms.MetadataCacheStats()
-	}
-	var lastNow uint64
-	for i := range cores {
-		cores[i].Drain()
-		if cores[i].Now() > lastNow {
-			lastNow = cores[i].Now()
-		}
-		r := Result{
-			Bench:  profs[i].Name,
-			System: cfg.System.String(),
-			Cycles: cores[i].Stats().Cycles,
-			Instrs: cores[i].Stats().Instrs,
-			IPC:    cores[i].Stats().IPC(),
-			CPU:    cores[i].Stats(),
-		}
-		out.Cores = append(out.Cores, r)
+	for _, c := range cores {
+		c.Drain()
 	}
 	if cfg.SampleEvery > 0 {
-		sampleMix() // close the partial final window at the drained clocks
+		sample() // close the partial final window at the drained clocks
 	}
+	out, l3s := collect()
 	out.Series = sampler.Series()
-	out.PageSizes = pageSizes(ctl)
 	if auditor != nil {
 		rep := auditor.Final(audit.Structural)
-		tracer.Emit(lastNow, obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+		tracer.Emit(now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
 		out.Audit = auditor.Outcome()
 		// Pick up the final audit's counters: the repair pass touches
 		// both the controller tallies and real DRAM traffic.
@@ -1005,5 +879,5 @@ func runMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	if attr != nil {
 		out.Attribution = attr.Snapshot()
 	}
-	return out
+	return out, l3s
 }

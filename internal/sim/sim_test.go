@@ -172,7 +172,7 @@ func TestSystemString(t *testing.T) {
 func TestAblationHooks(t *testing.T) {
 	prof, _ := workload.ByName("bwaves")
 	cfg := quickCfg(Compresso)
-	cfg.CompressoMod = func(c *core.Config) { c.DynamicRepacking = false; c.PredictOverflows = false }
+	cfg.Mods = map[string]any{string(Compresso): func(c *core.Config) { c.DynamicRepacking = false; c.PredictOverflows = false }}
 	res := RunSingle(prof, cfg)
 	if res.Mem.Repacks != 0 || res.Mem.Predictions != 0 {
 		t.Fatalf("ablation hook ignored: %+v", res.Mem)
@@ -192,9 +192,6 @@ func TestExtendedSystemsRun(t *testing.T) {
 		if res.System != sys.String() {
 			t.Fatalf("label %q", res.System)
 		}
-	}
-	if len(ExtendedSystems()) != 6 {
-		t.Fatalf("extended systems: %v", ExtendedSystems())
 	}
 }
 
@@ -251,39 +248,43 @@ func TestPanicMessages(t *testing.T) {
 	}
 }
 
-// TestRunMixZeroWarmupParity pins the WarmupFrac == 0 semantics: "no
-// warmup" must mean the statistics cover the whole run in both
-// runners. A 1-core mix configured identically to a single-core run
-// must reproduce it exactly; before the warm == 0 guard in RunMix, the
-// mix runner reset its memory-side statistics one op into the run and
-// this parity broke.
+// TestRunMixZeroWarmupParity pins the one-core parity of the two
+// runners with WarmupFrac == 0 ("no warmup" must mean the statistics
+// cover the whole run): a 1-core mix configured identically to a
+// single-core run must reproduce it exactly, at every footprint scale.
+// Two bugs broke it: RunMix reset its memory-side statistics one op
+// into the run, and it halved the footprint scale for the shared L3
+// and metadata cache (scale > 2) even with one core.
 func TestRunMixZeroWarmupParity(t *testing.T) {
-	prof, err := workload.ByName("povray")
+	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(Compresso)
-	cfg.Ops = 8_000
-	cfg.WarmupFrac = 0
-	// Scale 2 keeps RunMix's shared-metadata-cache halving (applied
-	// only for scales > 2) out of play so the configs match exactly.
-	cfg.FootprintScale = 2
+	for _, sys := range []System{Compresso, LCP, Uncompressed} {
+		for _, scale := range []int{4, 16} {
+			cfg := DefaultConfig(sys)
+			cfg.Ops = 20_000
+			cfg.WarmupFrac = 0
+			cfg.FootprintScale = scale
 
-	single := RunSingle(prof, cfg)
-	mix := RunMix("solo", []workload.Profile{prof}, cfg)
+			single := RunSingle(prof, cfg)
+			mix := RunMix("solo", []workload.Profile{prof}, cfg)
 
-	if len(mix.Cores) != 1 {
-		t.Fatalf("%d cores", len(mix.Cores))
-	}
-	if mix.Cores[0].Cycles != single.Cycles || mix.Cores[0].Instrs != single.Instrs {
-		t.Fatalf("cycle/instr parity lost: mix %d/%d vs single %d/%d",
-			mix.Cores[0].Cycles, mix.Cores[0].Instrs, single.Cycles, single.Instrs)
-	}
-	if mix.Cores[0].IPC != single.IPC {
-		t.Fatalf("IPC parity lost: mix %v vs single %v", mix.Cores[0].IPC, single.IPC)
-	}
-	if mix.Mem != single.Mem {
-		t.Fatalf("memory stats parity lost:\nmix    %+v\nsingle %+v", mix.Mem, single.Mem)
+			if len(mix.Cores) != 1 {
+				t.Fatalf("%s/%d: %d cores", sys, scale, len(mix.Cores))
+			}
+			if mix.Cores[0].Cycles != single.Cycles || mix.Cores[0].Instrs != single.Instrs {
+				t.Fatalf("%s/%d: cycle/instr parity lost: mix %d/%d vs single %d/%d", sys, scale,
+					mix.Cores[0].Cycles, mix.Cores[0].Instrs, single.Cycles, single.Instrs)
+			}
+			if mix.Cores[0].IPC != single.IPC {
+				t.Fatalf("%s/%d: IPC parity lost: mix %v vs single %v", sys, scale, mix.Cores[0].IPC, single.IPC)
+			}
+			if mix.Mem != single.Mem || mix.MDCache != single.MDCache {
+				t.Fatalf("%s/%d: memory stats parity lost:\nmix    %+v %+v\nsingle %+v %+v", sys, scale,
+					mix.Mem, mix.MDCache, single.Mem, single.MDCache)
+			}
+		}
 	}
 }
 
