@@ -24,16 +24,17 @@ test:
 	$(GO) test ./...
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
-# the experiments that run cells through it, and the simulator whose
-# state those cells must not share. The heaviest sweeps skip under the
-# race detector (see raceEnabled in internal/experiments); the light
-# cells still cover every parallel.Map call site.
+# the experiments that run cells through it, the simulator whose state
+# those cells must not share, and the image and capacity-tracker page
+# fan-outs. The heaviest sweeps skip under the race detector (see
+# raceEnabled in internal/experiments); the light cells still cover
+# every parallel.Map call site.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/sim/... \
 		./internal/parallel/... ./internal/experiments/... \
 		./internal/progress/... ./internal/obshttp/... \
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
-		./internal/fleet/...
+		./internal/fleet/... ./internal/capacity/... ./internal/workload/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.

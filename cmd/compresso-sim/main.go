@@ -174,6 +174,13 @@ func main() {
 	if err := ff.validate(); err != nil {
 		usageErr(err)
 	}
+	run := runFlags{
+		Ops: *ops, Scale: *scale, Seed: *seed,
+		Inject: *inject, AuditEvery: *auditEv, Jobs: *jobs, Overlap: *overlap,
+	}
+	if err := run.validate(); err != nil {
+		usageErr(err)
+	}
 
 	// Live-introspection sinks. All of them observe the run from the
 	// outside (snapshot copies, wall-clock spans); none feeds back into
@@ -286,15 +293,15 @@ func main() {
 	case *fleetF:
 		runFleet(*fleetNodes, *fleetPolicy, *quick, *seed, *scale, *jobs)
 	case *bench != "" && *capFrac > 0:
-		runCapacity(*bench, *capFrac, *ops, *scale, *seed, *jobs)
+		runCapacity(*bench, *capFrac, run)
 	case *bench != "":
-		runBench(*bench, *system, *ops, *scale, *seed, *compare, *inject, *auditEv, *jobs, *overlap)
+		runBench(*bench, *system, *compare, run)
 	case *mix != "":
-		runMixCLI(*mix, *ops, *scale, *seed, *inject, *auditEv, *jobs, *overlap)
+		runMixCLI(*mix, run)
 	case *inject != "" || *auditEv > 0:
 		// Robustness demo: injection/auditing flags alone run the
 		// default benchmark on the Compresso system.
-		runBench("gcc", "compresso", *ops, *scale, *seed, false, *inject, *auditEv, *jobs, *overlap)
+		runBench("gcc", "compresso", false, run)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -642,16 +649,16 @@ func parseSystem(name string) (sim.System, error) {
 		name, strings.Join(memctl.BackendNames(), ", "))
 }
 
-func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64, jobs int) {
+func runCapacity(bench string, frac float64, f runFlags) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := capacity.DefaultConfig(frac)
-	cfg.Ops = ops
-	cfg.FootprintScale = scale
-	cfg.Seed = seed
-	cfg.Jobs = jobs
+	cfg.Ops = f.Ops
+	cfg.FootprintScale = f.Scale
+	cfg.Seed = f.Seed
+	cfg.Jobs = f.Jobs
 	out := capacity.Evaluate(prof, cfg)
 	writeRunArtifact("capacity", fmt.Sprintf("%s_%.0f", prof.Name, frac*100), out)
 	fmt.Printf("%s at %.0f%% of footprint (%d MB scaled):\n",
@@ -662,18 +669,6 @@ func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64,
 	}
 	tbl.AddRow("unconstrained", out.Unconstrained, 0, "")
 	tbl.Render(os.Stdout)
-}
-
-// robustify applies the -inject / -audit-every / -trace-events flags
-// to a sim config.
-func robustify(cfg *sim.Config, spec string, auditEvery uint64) {
-	fc, err := faults.ParseSpec(spec, cfg.Seed)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Inject = fc
-	cfg.AuditEvery = auditEvery
-	cfg.TraceEvents = traceEvents
 }
 
 // attachLive wires the observation flags into a run config: the
@@ -763,7 +758,95 @@ func printRobustness(mem memctl.Stats, totals faults.Totals, outcome audit.Outco
 	}
 }
 
-func runMixCLI(name string, ops uint64, scale int, seed uint64, inject string, auditEvery uint64, jobs int, overlap bool) {
+// runFlags is the validated view of the run-shape flags shared by the
+// -bench, -mix, -capacity and -fleet modes.
+type runFlags struct {
+	Ops        uint64
+	Scale      int
+	Seed       uint64
+	Inject     string
+	AuditEvery uint64
+	Jobs       int
+	Overlap    bool
+}
+
+func (f runFlags) validate() error {
+	if f.Scale < 1 {
+		return fmt.Errorf("-scale divides the footprint and must be >= 1, got %d", f.Scale)
+	}
+	if f.Ops == 0 {
+		return fmt.Errorf("-ops must be >= 1, got 0")
+	}
+	return nil
+}
+
+// config builds system s's run config from the flags, including the
+// -inject / -audit-every / -trace-events robustness and tracing hooks.
+func (f runFlags) config(s sim.System) sim.Config {
+	cfg := sim.DefaultConfig(s)
+	cfg.Ops = f.Ops
+	cfg.FootprintScale = f.Scale
+	cfg.Seed = f.Seed
+	cfg.Overlap = f.Overlap
+	fc, err := faults.ParseSpec(f.Inject, cfg.Seed)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Inject = fc
+	cfg.AuditEvery = f.AuditEvery
+	cfg.TraceEvents = traceEvents
+	return cfg
+}
+
+// systemRun is one system's finished run in a -bench or -mix
+// comparison. res is the sim.Result or sim.MultiResult the artifact
+// serializes; the other fields are what the shared reporting reads.
+type systemRun struct {
+	name   string
+	res    any
+	snap   obs.Snapshot
+	mem    memctl.Stats
+	faults faults.Totals
+	audit  audit.Outcome
+	trace  obs.Trace
+	attr   obs.AttributionSnapshot
+}
+
+// compareSystems runs one workload (a benchmark, or a mix's cores) on
+// each system and publishes and writes every run. A multi-system
+// comparison generates and sizes the images once and each system's
+// run clones the shared masters (sim.MixAssets); the per-system runs
+// are independent, so they fan out across -jobs workers and come back
+// in system order, keeping output byte-identical at any -jobs.
+// render prints the comparison table before the last run's
+// robustness, observability and attribution summaries.
+func compareSystems(kind, label string, profs []workload.Profile, systems []sim.System, f runFlags,
+	run func(sim.Config) systemRun, render func([]systemRun)) {
+	var assets *sim.MixAssets
+	if len(systems) > 1 {
+		assets = sim.PrepareAssets(profs, f.config(systems[0]), compress.BPC{}, f.Jobs)
+	}
+	runs := parallel.Map(f.Jobs, len(systems), func(i int) systemRun {
+		cfg := f.config(systems[i])
+		cfg.Assets = assets
+		name := label + "_" + systems[i].String()
+		attachLive(&cfg, name)
+		r := run(cfg)
+		r.name = name
+		return r
+	})
+	for _, r := range runs {
+		publishRun(r.name, r.snap, r.trace, r.attr)
+		writeRunArtifact(kind, r.name, runArtifact(r.res, r.snap))
+	}
+	render(runs)
+	last := runs[len(runs)-1]
+	printRobustness(last.mem, last.faults, last.audit)
+	printObsSummary(last.snap, last.trace)
+	printAttribution(last.attr)
+}
+
+func runMixCLI(name string, f runFlags) {
 	var mix *sim.Mix
 	for _, m := range sim.Mixes() {
 		if m.Name == name {
@@ -781,59 +864,31 @@ func runMixCLI(name string, ops uint64, scale int, seed uint64, inject string, a
 	}
 	fmt.Printf("mix %s: %v\n", mix.Name, mix.Benches)
 	systems := sim.Systems()
-	// Generate and size the workload images once; each system's run
-	// clones the shared masters (sim.MixAssets). The per-system runs
-	// are independent, so they fan out across -jobs workers; results
-	// render in system order afterwards, keeping output byte-identical
-	// at any -jobs.
-	baseCfg := sim.DefaultConfig(systems[0])
-	baseCfg.Ops = ops
-	baseCfg.FootprintScale = scale
-	baseCfg.Seed = seed
-	assets := sim.PrepareAssets(profs, baseCfg, compress.BPC{}, jobs)
-	type mixRun struct {
-		name string
-		res  sim.MultiResult
-		snap obs.Snapshot
-	}
-	runs := parallel.Map(jobs, len(systems), func(i int) mixRun {
-		s := systems[i]
-		cfg := sim.DefaultConfig(s)
-		cfg.Ops = ops
-		cfg.FootprintScale = scale
-		cfg.Seed = seed
-		cfg.Overlap = overlap
-		cfg.Assets = assets
-		robustify(&cfg, inject, auditEvery)
-		name := mix.Name + "_" + s.String()
-		attachLive(&cfg, name)
+	compareSystems("mix", mix.Name, profs, systems, f, func(cfg sim.Config) systemRun {
 		res := sim.RunMix(mix.Name, profs, cfg)
-		return mixRun{name: name, res: res, snap: res.Registry().Snapshot()}
+		return systemRun{res: res, snap: res.Registry().Snapshot(), mem: res.Mem,
+			faults: res.Faults, audit: res.Audit, trace: res.Trace, attr: res.Attribution}
+	}, func(runs []systemRun) {
+		tbl := stats.NewTable("system", "weighted-speedup", "ratio", "extra-accesses")
+		var base sim.MultiResult
+		for i, r := range runs {
+			res := r.res.(sim.MultiResult)
+			if systems[i] == sim.Uncompressed {
+				base = res
+				tbl.AddRow(res.System, 1.0, res.Ratio, res.Mem.RelativeExtra())
+				continue
+			}
+			ws, err := res.WeightedSpeedup(base)
+			if err != nil {
+				fatal(err)
+			}
+			tbl.AddRow(res.System, ws, res.Ratio, res.Mem.RelativeExtra())
+		}
+		tbl.Render(os.Stdout)
 	})
-	tbl := stats.NewTable("system", "weighted-speedup", "ratio", "extra-accesses")
-	var base sim.MultiResult
-	for i, r := range runs {
-		publishRun(r.name, r.snap, r.res.Trace, r.res.Attribution)
-		writeRunArtifact("mix", r.name, runArtifact(r.res, r.snap))
-		if systems[i] == sim.Uncompressed {
-			base = r.res
-			tbl.AddRow(r.res.System, 1.0, r.res.Ratio, r.res.Mem.RelativeExtra())
-			continue
-		}
-		ws, err := r.res.WeightedSpeedup(base)
-		if err != nil {
-			fatal(err)
-		}
-		tbl.AddRow(r.res.System, ws, r.res.Ratio, r.res.Mem.RelativeExtra())
-	}
-	tbl.Render(os.Stdout)
-	last := runs[len(runs)-1]
-	printRobustness(last.res.Mem, last.res.Faults, last.res.Audit)
-	printObsSummary(last.snap, last.res.Trace)
-	printAttribution(last.res.Attribution)
 }
 
-func runBench(bench, system string, ops uint64, scale int, seed uint64, compare bool, inject string, auditEvery uint64, jobs int, overlap bool) {
+func runBench(bench, system string, compare bool, f runFlags) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		fatal(err)
@@ -846,50 +901,21 @@ func runBench(bench, system string, ops uint64, scale int, seed uint64, compare 
 		}
 		systems = []sim.System{s}
 	}
-	// Comparison runs share one prepared image across the systems and
-	// fan out across -jobs workers (see runMixCLI); a single-system run
-	// skips the assets (nothing to share).
-	var assets *sim.MixAssets
-	if len(systems) > 1 {
-		baseCfg := sim.DefaultConfig(systems[0])
-		baseCfg.Ops = ops
-		baseCfg.FootprintScale = scale
-		baseCfg.Seed = seed
-		assets = sim.PrepareAssets([]workload.Profile{prof}, baseCfg, compress.BPC{}, jobs)
-	}
-	type benchRun struct {
-		name string
-		res  sim.Result
-		snap obs.Snapshot
-	}
-	runs := parallel.Map(jobs, len(systems), func(i int) benchRun {
-		s := systems[i]
-		cfg := sim.DefaultConfig(s)
-		cfg.Ops = ops
-		cfg.FootprintScale = scale
-		cfg.Seed = seed
-		cfg.Overlap = overlap
-		cfg.Assets = assets
-		robustify(&cfg, inject, auditEvery)
-		name := prof.Name + "_" + s.String()
-		attachLive(&cfg, name)
+	compareSystems("bench", prof.Name, []workload.Profile{prof}, systems, f, func(cfg sim.Config) systemRun {
 		res := sim.RunSingle(prof, cfg)
-		return benchRun{name: name, res: res, snap: res.Registry().Snapshot()}
+		return systemRun{res: res, snap: res.Registry().Snapshot(), mem: res.Mem,
+			faults: res.Faults, audit: res.Audit, trace: res.Trace, attr: res.Attribution}
+	}, func(runs []systemRun) {
+		tbl := stats.NewTable("system", "cycles", "ipc", "ratio", "extra-accesses", "l3-miss", "md-hit")
+		for _, r := range runs {
+			res := r.res.(sim.Result)
+			tbl.AddRow(res.System, res.Cycles, res.IPC, res.Ratio,
+				res.Mem.RelativeExtra(), res.L3MissRate, res.MDCache.HitRate())
+		}
+		fmt.Printf("benchmark %s (%d pages footprint / scale %d, %d ops)\n",
+			prof.Name, prof.FootprintPages, f.Scale, f.Ops)
+		tbl.Render(os.Stdout)
 	})
-	tbl := stats.NewTable("system", "cycles", "ipc", "ratio", "extra-accesses", "l3-miss", "md-hit")
-	for _, r := range runs {
-		publishRun(r.name, r.snap, r.res.Trace, r.res.Attribution)
-		writeRunArtifact("bench", r.name, runArtifact(r.res, r.snap))
-		tbl.AddRow(r.res.System, r.res.Cycles, r.res.IPC, r.res.Ratio,
-			r.res.Mem.RelativeExtra(), r.res.L3MissRate, r.res.MDCache.HitRate())
-	}
-	fmt.Printf("benchmark %s (%d pages footprint / scale %d, %d ops)\n",
-		prof.Name, prof.FootprintPages, scale, ops)
-	tbl.Render(os.Stdout)
-	last := runs[len(runs)-1]
-	printRobustness(last.res.Mem, last.res.Faults, last.res.Audit)
-	printObsSummary(last.snap, last.res.Trace)
-	printAttribution(last.res.Attribution)
 }
 
 // printAttribution renders the -attribution end-of-run breakdown:

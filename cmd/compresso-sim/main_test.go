@@ -74,6 +74,36 @@ func TestFleetFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunFlagValidation pins the run-shape flag contract: -scale 0
+// used to panic with an integer divide-by-zero, a negative -scale ran
+// and reported itself, and -ops 0 produced NaN capacity rows. All three
+// are flag errors now.
+func TestRunFlagValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		f       runFlags
+		wantErr string // substring; empty = must pass
+	}{
+		{name: "defaults", f: runFlags{Ops: 200_000, Scale: 4}},
+		{name: "scale one", f: runFlags{Ops: 1, Scale: 1}},
+		{name: "zero scale", f: runFlags{Ops: 1000, Scale: 0}, wantErr: "-scale divides the footprint and must be >= 1"},
+		{name: "negative scale", f: runFlags{Ops: 1000, Scale: -4}, wantErr: "got -4"},
+		{name: "zero ops", f: runFlags{Ops: 0, Scale: 4}, wantErr: "-ops must be >= 1"},
+	}
+	for _, c := range cases {
+		err := c.f.validate()
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v, want substring %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
 // TestResilienceFlagValidation pins the resilience flag contract: every
 // nonsensical combination is a flag error (exit 2) carrying an
 // actionable message, and every documented-good shape passes.

@@ -32,6 +32,11 @@ func main() {
 		record = flag.String("record", "", "write the benchmark's op stream to a trace file")
 	)
 	flag.Parse()
+	if err := (runFlags{Scale: *scale, Ops: *ops}).validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "compresso-trace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *record != "" && *bench != "" {
 		prof, err := workload.ByName(*bench)
@@ -39,10 +44,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "compresso-trace:", err)
 			os.Exit(1)
 		}
-		prof.FootprintPages /= *scale
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
+		prof = workload.Scale(prof, *scale)
 		tr := workload.NewTrace(prof, *seed, *ops)
 		// Write to a temp file in the destination directory and rename
 		// into place, so an interrupted recording never leaves a torn
@@ -93,11 +95,24 @@ func main() {
 	}
 }
 
-func inspect(prof workload.Profile, scale int, ops, seed uint64, phases bool) {
-	prof.FootprintPages /= scale
-	if prof.FootprintPages < 16 {
-		prof.FootprintPages = 16
+// runFlags is the validated view of the run-shape flags.
+type runFlags struct {
+	Scale int
+	Ops   uint64
+}
+
+func (f runFlags) validate() error {
+	if f.Scale < 1 {
+		return fmt.Errorf("-scale divides the footprint and must be >= 1, got %d", f.Scale)
 	}
+	if f.Ops == 0 {
+		return fmt.Errorf("-ops must be >= 1, got 0")
+	}
+	return nil
+}
+
+func inspect(prof workload.Profile, scale int, ops, seed uint64, phases bool) {
+	prof = workload.Scale(prof, scale)
 	tr := workload.NewTrace(prof, seed, ops)
 	img := tr.Image()
 

@@ -120,90 +120,13 @@ type Outcome struct {
 	RecordedTouch int
 }
 
-// Evaluate runs the full two-stage methodology for one benchmark.
+// Evaluate runs the full two-stage methodology for one benchmark: the
+// one-core case of EvaluateMix's loop, reported with its per-sizer
+// fault counts and mean ratios.
 func Evaluate(prof workload.Profile, cfg Config) Outcome {
-	if cfg.FootprintScale > 1 {
-		prof.FootprintPages /= cfg.FootprintScale
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
-	}
-	tr := workload.NewTrace(prof, cfg.Seed, cfg.Ops)
-	trk := newTracker(tr.Image(), cfg.Jobs)
-
-	// Stage 1: profile — record page touches and per-interval ratios.
-	touches := make([]uint32, 0, cfg.Ops)
-	ratios := make([][NSizers]float64, 0, cfg.Intervals)
-	interval := cfg.Ops / uint64(cfg.Intervals)
-	if interval == 0 {
-		interval = 1
-	}
-	var op workload.Op
-	for i := uint64(0); i < cfg.Ops; i++ {
-		tr.Next(&op)
-		touches = append(touches, uint32(op.LineAddr/memctl.LinesPerPage))
-		if op.Write {
-			trk.noteStore(op.LineAddr)
-		}
-		if (i+1)%interval == 0 && len(ratios) < cfg.Intervals {
-			trk.refresh()
-			ratios = append(ratios, trk.ratios())
-		}
-	}
-	for len(ratios) < cfg.Intervals {
-		trk.refresh()
-		ratios = append(ratios, trk.ratios())
-	}
-
-	// Stage 2: constrained replays.
-	footprint := int64(prof.FootprintPages) * memctl.PageSize
-	out := Outcome{
-		Bench:         prof.Name,
-		Frac:          cfg.Frac,
-		FootprintB:    footprint,
-		RecordedTouch: len(touches),
-	}
-	var times [NSizers]float64
-	for s := Sizer(0); s < NSizers; s++ {
-		faults := replay(touches, interval, func(iv int) int64 {
-			r := ratios[clampIdx(iv, len(ratios))][s]
-			return int64(cfg.Frac * float64(footprint) * r)
-		})
-		out.Faults[s] = faults
-		times[s] = float64(len(touches)) + float64(faults)*cfg.SwapCostOps
-		total := 0.0
-		for _, rv := range ratios {
-			total += rv[s]
-		}
-		out.MeanRatio[s] = total / float64(len(ratios))
-	}
-	base := times[Uncompressed]
-	for s := Sizer(0); s < NSizers; s++ {
-		out.RelPerf[s] = base / times[s]
-	}
-	out.Unconstrained = base / float64(len(touches))
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(touches))
+	out := evaluate([]workload.Profile{prof}, cfg)
+	out.Bench = prof.Name
 	return out
-}
-
-func clampIdx(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// replay runs the touch stream through an LRU pager whose budget is
-// refreshed per interval, returning the fault count.
-func replay(touches []uint32, interval uint64, budget func(iv int) int64) uint64 {
-	pager := oskernel.NewPager(budget(0))
-	for i, page := range touches {
-		if i > 0 && uint64(i)%interval == 0 {
-			pager.SetBudget(budget(int(uint64(i) / interval)))
-		}
-		pager.Touch(uint64(page))
-	}
-	return pager.Faults()
 }
 
 // MixOutcome is a 4-core capacity evaluation (Fig. 11a's mem-cap
@@ -218,34 +141,36 @@ type MixOutcome struct {
 // EvaluateMix runs the methodology for a multi-core mix with a shared
 // budget. Streams interleave round-robin (always under contention).
 func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
+	out := evaluate(profs, cfg)
+	return MixOutcome{MixName: mixName, RelPerf: out.RelPerf, Unconstrained: out.Unconstrained}
+}
+
+// evaluate is the one capacity loop behind Evaluate and EvaluateMix.
+// Stage 1 interleaves the cores' traces round-robin into one touch
+// stream of global page ids, sampling the combined ratios at every
+// interval boundary; stage 2 replays that stream per sizer through a
+// shared-budget pager. Since the interleaving is strict round-robin,
+// step i belongs to core i mod n. RelPerf and Unconstrained are the
+// per-core averages, Faults the per-core sums.
+func evaluate(profs []workload.Profile, cfg Config) Outcome {
 	n := len(profs)
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
-	var footprint int64
 	pageBase := make([]uint64, n)
 	var nextPage uint64
-	for i := range profs {
-		p := profs[i]
-		if cfg.FootprintScale > 1 {
-			p.FootprintPages /= cfg.FootprintScale
-			if p.FootprintPages < 16 {
-				p.FootprintPages = 16
-			}
-		}
-		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
+	var footprint int64
+	for i, p := range profs {
+		p = workload.Scale(p, cfg.FootprintScale)
+		traces[i] = workload.NewTrace(p, workload.CoreSeed(cfg.Seed, i), cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
 		nextPage += uint64(p.FootprintPages)
 		footprint += int64(p.FootprintPages) * memctl.PageSize
 	}
 
-	// Stage 1 interleaved: per-core touches with global page ids.
-	type step struct {
-		page uint32
-		core uint8
-	}
+	// Stage 1: profile — record page touches and per-interval ratios.
 	stepsTotal := cfg.Ops * uint64(n)
-	steps := make([]step, 0, stepsTotal)
+	touches := make([]uint32, 0, stepsTotal)
 	interval := stepsTotal / uint64(cfg.Intervals)
 	if interval == 0 {
 		interval = 1
@@ -253,16 +178,13 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 	ratios := make([][NSizers]float64, 0, cfg.Intervals)
 	var op workload.Op
 	for i := uint64(0); i < cfg.Ops; i++ {
-		for c := 0; c < n; c++ {
-			traces[c].Next(&op)
+		for c, tr := range traces {
+			tr.Next(&op)
 			if op.Write {
 				trackers[c].noteStore(op.LineAddr)
 			}
-			steps = append(steps, step{
-				page: uint32(pageBase[c] + op.LineAddr/memctl.LinesPerPage),
-				core: uint8(c),
-			})
-			if uint64(len(steps))%interval == 0 && len(ratios) < cfg.Intervals {
+			touches = append(touches, uint32(pageBase[c]+op.LineAddr/memctl.LinesPerPage))
+			if uint64(len(touches))%interval == 0 && len(ratios) < cfg.Intervals {
 				ratios = append(ratios, combinedRatios(trackers))
 			}
 		}
@@ -271,44 +193,62 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 		ratios = append(ratios, combinedRatios(trackers))
 	}
 
-	// Stage 2: shared-budget replays, faults attributed per core.
-	out := MixOutcome{MixName: mixName}
+	// Stage 2: shared-budget constrained replays, faults per core.
+	out := Outcome{Frac: cfg.Frac, FootprintB: footprint, RecordedTouch: len(touches)}
 	var times [NSizers][]float64
-	var baseTimes []float64
 	for s := Sizer(0); s < NSizers; s++ {
-		pager := oskernel.NewPager(int64(cfg.Frac * float64(footprint) * ratios[0][s]))
+		budget := func(iv int) int64 {
+			return int64(cfg.Frac * float64(footprint) * ratios[clampIdx(iv, len(ratios))][s])
+		}
+		pager := oskernel.NewPager(budget(0))
 		coreFaults := make([]uint64, n)
-		for i, st := range steps {
-			if i > 0 && uint64(i)%interval == 0 {
-				iv := clampIdx(int(uint64(i)/interval), len(ratios))
-				pager.SetBudget(int64(cfg.Frac * float64(footprint) * ratios[iv][s]))
+		c, iv, next := 0, 0, interval
+		for i, page := range touches {
+			if uint64(i) == next {
+				iv++
+				next += interval
+				pager.SetBudget(budget(iv))
 			}
-			if pager.Touch(uint64(st.page)) {
-				coreFaults[st.core]++
+			if pager.Touch(uint64(page)) {
+				coreFaults[c]++
+			}
+			if c++; c == n {
+				c = 0
 			}
 		}
-		perCore := make([]float64, n)
-		for c := 0; c < n; c++ {
-			perCore[c] = float64(cfg.Ops) + float64(coreFaults[c])*cfg.SwapCostOps
+		times[s] = make([]float64, n)
+		for c, f := range coreFaults {
+			out.Faults[s] += f
+			times[s][c] = float64(cfg.Ops) + float64(f)*cfg.SwapCostOps
 		}
-		times[s] = perCore
-		if s == Uncompressed {
-			baseTimes = perCore
+		total := 0.0
+		for _, rv := range ratios {
+			total += rv[s]
 		}
+		out.MeanRatio[s] = total / float64(len(ratios))
 	}
+	base := times[Uncompressed]
 	for s := Sizer(0); s < NSizers; s++ {
 		total := 0.0
-		for c := 0; c < n; c++ {
-			total += baseTimes[c] / times[s][c]
+		for c := range base {
+			total += base[c] / times[s][c]
 		}
 		out.RelPerf[s] = total / float64(n)
 	}
 	total := 0.0
-	for c := 0; c < n; c++ {
-		total += baseTimes[c] / float64(cfg.Ops)
+	for _, b := range base {
+		total += b / float64(cfg.Ops)
 	}
 	out.Unconstrained = total / float64(n)
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(touches))
 	return out
+}
+
+func clampIdx(i, n int) int {
+	if i >= n {
+		return n - 1
+	}
+	return i
 }
 
 func combinedRatios(trackers []*tracker) [NSizers]float64 {

@@ -133,7 +133,7 @@ func TestOverallPerformance(t *testing.T) {
 func TestPageMath(t *testing.T) {
 	// All-zero page costs nothing everywhere.
 	zeros := make([]uint8, 64)
-	if compressoPageBytes(zeros) != 0 || lcpPageBytes(zeros, compress.LegacyBins) != 0 {
+	if LinePackPageBytes(zeros, compress.CompressoBins) != 0 || LCPPageBytes(zeros, compress.LegacyBins) != 0 {
 		t.Fatal("zero page priced nonzero")
 	}
 	// Uniform 8-byte lines: Compresso 1 chunk; LCP rounds to 2 K with
@@ -142,13 +142,13 @@ func TestPageMath(t *testing.T) {
 	for i := range eights {
 		eights[i] = 8
 	}
-	if got := compressoPageBytes(eights); got != 512 {
+	if got := LinePackPageBytes(eights, compress.CompressoBins); got != 512 {
 		t.Fatalf("compresso uniform-8 page = %d", got)
 	}
-	if got := lcpPageBytes(eights, compress.LegacyBins); got != 2048 {
+	if got := LCPPageBytes(eights, compress.LegacyBins); got != 2048 {
 		t.Fatalf("lcp legacy uniform-8 page = %d", got)
 	}
-	if got := lcpPageBytes(eights, compress.CompressoBins); got != 512 {
+	if got := LCPPageBytes(eights, compress.CompressoBins); got != 512 {
 		t.Fatalf("lcp aligned uniform-8 page = %d", got)
 	}
 	// Heterogeneous page: half 8 B, half 64 B lines. LinePack packs
@@ -163,10 +163,10 @@ func TestPageMath(t *testing.T) {
 			mixed[i] = 64
 		}
 	}
-	if got := compressoPageBytes(mixed[:]); got != 2560 {
+	if got := LinePackPageBytes(mixed[:], compress.CompressoBins); got != 2560 {
 		t.Fatalf("compresso mixed page = %d", got)
 	}
-	if got := lcpPageBytes(mixed[:], compress.CompressoBins); got != 4096 {
+	if got := LCPPageBytes(mixed[:], compress.CompressoBins); got != 4096 {
 		t.Fatalf("lcp mixed page = %d", got)
 	}
 	// With one zero line per pair, target 0 + exceptions wins: 32
@@ -177,7 +177,7 @@ func TestPageMath(t *testing.T) {
 			sparse[i] = 64
 		}
 	}
-	if got := lcpPageBytes(sparse[:], compress.CompressoBins); got != 2048 {
+	if got := LCPPageBytes(sparse[:], compress.CompressoBins); got != 2048 {
 		t.Fatalf("lcp sparse page = %d", got)
 	}
 }
@@ -188,5 +188,61 @@ func TestDeterministic(t *testing.T) {
 	b := Evaluate(prof, quickCfg(0.7))
 	if a != b {
 		t.Fatal("capacity evaluation not deterministic")
+	}
+}
+
+// TestEvaluateIsOneCoreMix pins Evaluate as the one-core case of
+// EvaluateMix, bit for bit: the single-benchmark outcome is the same
+// loop run over a one-profile mix.
+func TestEvaluateIsOneCoreMix(t *testing.T) {
+	for _, name := range []string{"gcc", "mcf", "GemsFDTD", "lbm"} {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0.6, 0.8} {
+			cfg := quickCfg(frac)
+			cfg.Ops = 20_000
+			single := Evaluate(prof, cfg)
+			mix := EvaluateMix("one", []workload.Profile{prof}, cfg)
+			if single.RelPerf != mix.RelPerf || single.Unconstrained != mix.Unconstrained {
+				t.Errorf("%s@%.1f: Evaluate %v/%v, one-core EvaluateMix %v/%v", name, frac,
+					single.RelPerf, single.Unconstrained, mix.RelPerf, mix.Unconstrained)
+			}
+		}
+	}
+}
+
+// TestEvaluateJobsIdentity pins the tracker's construction fan-out (memo
+// warming and page pricing across cfg.Jobs workers): single and mix
+// outcomes are identical at 1 and 8 workers.
+func TestEvaluateJobsIdentity(t *testing.T) {
+	soplex, err := workload.ByName("soplex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mix []workload.Profile
+	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix = append(mix, p)
+	}
+	cfg := quickCfg(0.7)
+	cfg.Ops = 20_000
+	cfg.FootprintScale = 8
+	at := func(jobs int) (Outcome, MixOutcome) {
+		c := cfg
+		c.Jobs = jobs
+		return Evaluate(soplex, c), EvaluateMix("mix2", mix, c)
+	}
+	s1, m1 := at(1)
+	s8, m8 := at(8)
+	if s1 != s8 {
+		t.Errorf("Evaluate differs across jobs:\n1: %+v\n8: %+v", s1, s8)
+	}
+	if m1 != m8 {
+		t.Errorf("EvaluateMix differs across jobs:\n1: %+v\n8: %+v", m1, m8)
 	}
 }

@@ -11,17 +11,16 @@ import (
 
 // tracker maintains, incrementally, the storage footprint the image
 // would occupy under each storage model. A full compression pass runs
-// once at construction — batched page-at-a-time through the image's
-// size memo and fanned across a bounded worker pool (byte-identical at
-// any jobs; see DESIGN.md §13). Afterwards only stored-to lines are
-// recompressed and only dirty pages re-priced — this is what makes the
-// profiling stage affordable at full trace length.
+// once at construction — the image's size memo is warmed in one
+// batched scan and pages are priced across a bounded worker pool
+// (byte-identical at any jobs; see DESIGN.md §13). Afterwards only
+// stored-to lines are recompressed and only dirty pages re-priced —
+// this is what makes the profiling stage affordable at full trace
+// length. Line sizes are read only through the image's memo.
 type tracker struct {
 	img   *workload.Image
 	pages int
 	codec compress.Codec
-
-	lineRaw []uint8 // raw compressed size per line (0..64)
 
 	bytes  [NSizers][]int32
 	totals [NSizers]int64
@@ -31,39 +30,21 @@ type tracker struct {
 
 func newTracker(img *workload.Image, jobs int) *tracker {
 	t := &tracker{
-		img:     img,
-		pages:   img.FootprintPages(),
-		codec:   compress.BPC{},
-		lineRaw: make([]uint8, img.Lines()),
-		dirty:   make(map[uint32]struct{}),
+		img:   img,
+		pages: img.FootprintPages(),
+		codec: compress.BPC{},
+		dirty: make(map[uint32]struct{}),
 	}
 	for s := Sizer(0); s < NSizers; s++ {
 		t.bytes[s] = make([]int32, t.pages)
 	}
-	// Warm the image's per-line size memo in one batched pass, then
-	// price pages on the pool: each worker owns a strided page subset,
-	// touching disjoint lineRaw/bytes entries (pricing is pure).
+	// Pricing a page only reads the warmed memo and writes the page's
+	// own bytes entries, so pages price in any order.
 	t.img.SizeAll(t.codec, jobs)
-	pricePage := func(p int) {
-		base := uint64(p) * memctl.LinesPerPage
-		for l := uint64(0); l < memctl.LinesPerPage; l++ {
-			t.lineRaw[base+l] = t.rawSize(base + l)
-		}
+	parallel.Map(jobs, t.pages, func(p int) struct{} {
 		t.priceFresh(uint32(p))
-	}
-	workers := parallel.Workers(jobs, t.pages)
-	if workers <= 1 {
-		for p := 0; p < t.pages; p++ {
-			pricePage(p)
-		}
-	} else {
-		parallel.Map(workers, workers, func(w int) struct{} {
-			for p := w; p < t.pages; p += workers {
-				pricePage(p)
-			}
-			return struct{}{}
-		})
-	}
+		return struct{}{}
+	})
 	for s := Sizer(0); s < NSizers; s++ {
 		for p := 0; p < t.pages; p++ {
 			t.totals[s] += int64(t.bytes[s][p])
@@ -72,8 +53,18 @@ func newTracker(img *workload.Image, jobs int) *tracker {
 	return t
 }
 
-// rawSize narrows a line's compressed size to the uint8 the per-line
-// table stores. Sizes are <= 64 for every current codec; the guard
+// pageRaws reads page p's per-line compressed sizes through the
+// image's size memo.
+func (t *tracker) pageRaws(p uint32) (raws [memctl.LinesPerPage]uint8) {
+	base := uint64(p) * memctl.LinesPerPage
+	for l := range raws {
+		raws[l] = t.rawSize(base + uint64(l))
+	}
+	return raws
+}
+
+// rawSize narrows a line's compressed size to the uint8 the page
+// pricers take. Sizes are <= 64 for every current codec; the guard
 // keeps a future codec or granularity change from silently truncating
 // (mirrors experiments.lineSize8).
 func (t *tracker) rawSize(lineAddr uint64) uint8 {
@@ -98,10 +89,6 @@ func (t *tracker) noteStore(lineAddr uint64) {
 // just the stored-to lines.
 func (t *tracker) refresh() {
 	for p := range t.dirty {
-		base := uint64(p) * memctl.LinesPerPage
-		for l := uint64(0); l < memctl.LinesPerPage; l++ {
-			t.lineRaw[base+l] = t.rawSize(base + l)
-		}
 		old := [NSizers]int32{}
 		for s := Sizer(0); s < NSizers; s++ {
 			old[s] = t.bytes[s][p]
@@ -116,24 +103,25 @@ func (t *tracker) refresh() {
 
 // priceFresh prices page p from scratch (construction).
 func (t *tracker) priceFresh(p uint32) {
-	raws := t.lineRaw[uint64(p)*memctl.LinesPerPage : uint64(p+1)*memctl.LinesPerPage]
+	raws := t.pageRaws(p)
+	c := LinePackPageBytes(raws[:], compress.CompressoBins)
 	t.bytes[Uncompressed][p] = memctl.PageSize
-	c := compressoPageBytes(raws)
 	t.bytes[Compresso][p] = c
 	t.bytes[CompressoNoRepack][p] = c
-	t.bytes[LCP][p] = lcpPageBytes(raws, compress.LegacyBins)
-	t.bytes[LCPAlign][p] = lcpPageBytes(raws, compress.CompressoBins)
+	t.bytes[LCP][p] = LCPPageBytes(raws[:], compress.LegacyBins)
+	t.bytes[LCPAlign][p] = LCPPageBytes(raws[:], compress.CompressoBins)
 }
 
 // priceDirty re-prices page p after stores: repacking systems track
 // the fresh packing; non-repacking systems only ever grow (§IV-B4,
 // Fig. 7 — "a page only grows in size from its allocation").
 func (t *tracker) priceDirty(p uint32, old [NSizers]int32) {
-	raws := t.lineRaw[uint64(p)*memctl.LinesPerPage : uint64(p+1)*memctl.LinesPerPage]
-	t.bytes[Compresso][p] = compressoPageBytes(raws)
-	t.bytes[CompressoNoRepack][p] = maxI32(old[CompressoNoRepack], compressoPageBytes(raws))
-	t.bytes[LCP][p] = maxI32(old[LCP], lcpPageBytes(raws, compress.LegacyBins))
-	t.bytes[LCPAlign][p] = maxI32(old[LCPAlign], lcpPageBytes(raws, compress.CompressoBins))
+	raws := t.pageRaws(p)
+	c := LinePackPageBytes(raws[:], compress.CompressoBins)
+	t.bytes[Compresso][p] = c
+	t.bytes[CompressoNoRepack][p] = maxI32(old[CompressoNoRepack], c)
+	t.bytes[LCP][p] = maxI32(old[LCP], LCPPageBytes(raws[:], compress.LegacyBins))
+	t.bytes[LCPAlign][p] = maxI32(old[LCPAlign], LCPPageBytes(raws[:], compress.CompressoBins))
 }
 
 func maxI32(a, b int32) int32 {
@@ -149,34 +137,11 @@ func (t *tracker) footprintBytes() int64 {
 
 func (t *tracker) storageBytes(s Sizer) int64 { return t.totals[s] }
 
-// ratios returns footprint/storage per sizer.
-func (t *tracker) ratios() [NSizers]float64 {
-	var out [NSizers]float64
-	fp := float64(t.footprintBytes())
-	for s := Sizer(0); s < NSizers; s++ {
-		if t.totals[s] <= 0 {
-			out[s] = fp // fully-zero image: effectively unbounded
-			continue
-		}
-		out[s] = fp / float64(t.totals[s])
-	}
-	return out
-}
-
-// CompressoPageBytes prices a page (given its lines' raw compressed
-// sizes) under Compresso's storage model: LinePack with
-// alignment-friendly bins, incremental 512 B chunks, 8 page sizes,
-// zero pages free. Exported for the Fig. 2 packing-comparison
-// experiment.
-func CompressoPageBytes(raws []uint8) int32 { return compressoPageBytes(raws) }
-
-// LCPPageBytes prices a page under LCP-packing with the given line
-// bins (4 page sizes, exceptions at 64 B). Exported for Fig. 2.
-func LCPPageBytes(raws []uint8, bins compress.Bins) int32 { return lcpPageBytes(raws, bins) }
-
-// LinePackPageBytes prices a page under pure LinePack with arbitrary
-// bins and 8 incremental page sizes (the Fig. 2 LinePack bars, which
-// predate the alignment-friendly bin choice).
+// LinePackPageBytes prices a page under LinePack with the given line
+// bins, incremental 512 B chunks, 8 page sizes and zero pages free.
+// With compress.CompressoBins it is Compresso's storage model; the
+// Fig. 2 LinePack bars use the legacy bins, which predate the
+// alignment-friendly choice.
 func LinePackPageBytes(raws []uint8, bins compress.Bins) int32 {
 	fresh := 0
 	for _, r := range raws {
@@ -189,25 +154,10 @@ func LinePackPageBytes(raws []uint8, bins compress.Bins) int32 {
 	return int32(chunks * 512)
 }
 
-// compressoPageBytes prices a page under Compresso's storage model:
-// LinePack with alignment-friendly bins, incremental 512 B chunks,
-// 8 page sizes, zero pages free.
-func compressoPageBytes(raws []uint8) int32 {
-	fresh := 0
-	for _, r := range raws {
-		fresh += compress.CompressoBins.Fit(int(r))
-	}
-	if fresh == 0 {
-		return 0
-	}
-	chunks := (fresh + 511) / 512
-	return int32(chunks * 512)
-}
-
-// lcpPageBytes prices a page under LCP-packing with the given line
+// LCPPageBytes prices a page under LCP-packing with the given line
 // bins: all lines at the best single target size, exceptions
-// uncompressed, rounded to the 4 LCP page sizes.
-func lcpPageBytes(raws []uint8, bins compress.Bins) int32 {
+// uncompressed (64 B), rounded to the 4 LCP page sizes.
+func LCPPageBytes(raws []uint8, bins compress.Bins) int32 {
 	allZero := true
 	for _, r := range raws {
 		if r != 0 {

@@ -43,12 +43,12 @@ func TestRawSizeRejectsOversizedLine(t *testing.T) {
 	tr.rawSize(0)
 }
 
-// TestLCPPageBytesClampsAt4096 pins lcpPageBytes' terminal clamp to
+// TestLCPPageBytesClampsAt4096 pins LCPPageBytes' terminal clamp to
 // the 4096 B uncompressed page. Every bin set starts at a 0 B target,
 // so a 64-line all-exception page prices at exactly 64*64 = 4096 B
-// pre-round; a longer vector through the exported wrapper (128
-// incompressible lines: 8192 B at every target) must clamp down to
-// 4096 rather than invent a page size above uncompressed.
+// pre-round; a longer vector (128 incompressible lines: 8192 B at
+// every target) must clamp down to 4096 rather than invent a page size
+// above uncompressed.
 func TestLCPPageBytesClampsAt4096(t *testing.T) {
 	raws := make([]uint8, memctl.LinesPerPage)
 	for i := range raws {

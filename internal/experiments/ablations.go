@@ -160,10 +160,7 @@ func BPCVariantsData(opt Options) []BPCVariantRow {
 		prof := profs[i]
 		best := compress.BPC{}
 		baseline := compress.BPC{DisableBestOf: true}
-		prof.FootprintPages /= opt.scale()
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
+		prof = workload.Scale(prof, opt.scale())
 		img := workload.NewImage(prof, opt.seed())
 		var bb, bl int64
 		for p := uint64(0); p < uint64(prof.FootprintPages); p++ {

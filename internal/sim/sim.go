@@ -402,8 +402,7 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
-		img := workload.NewImage(p, cfg.Seed+uint64(i)*7919)
-		img.Materialize(jobs)
+		img := workload.NewImage(p, workload.CoreSeed(cfg.Seed, i))
 		img.SizeAll(codec, jobs)
 		a.profs = append(a.profs, p)
 		a.images = append(a.images, img)
@@ -411,7 +410,7 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 	a.logs = make([]*workload.TraceLog, len(a.profs))
 	parallel.Map(jobs, len(a.profs), func(i int) struct{} {
 		a.logs[i] = workload.RecordTrace(a.images[i].Clone(), a.profs[i],
-			cfg.Seed+uint64(i)*7919, cfg.Ops, codec)
+			workload.CoreSeed(cfg.Seed, i), cfg.Ops, codec)
 		return struct{}{}
 	})
 	return a
@@ -439,7 +438,7 @@ func (a *MixAssets) stream(i int, prof workload.Profile, seed, ops uint64) workl
 // check validates that the assets were prepared for this run's shape.
 func (a *MixAssets) check(i int, prof workload.Profile, seed uint64) {
 	if i >= len(a.images) || a.profs[i].Name != prof.Name ||
-		a.profs[i].FootprintPages != prof.FootprintPages || a.seed+uint64(i)*7919 != seed {
+		a.profs[i].FootprintPages != prof.FootprintPages || workload.CoreSeed(a.seed, i) != seed {
 		panic(fmt.Sprintf("sim: Assets prepared for different run shape (core %d, profile %s)", i, prof.Name))
 	}
 }
@@ -719,7 +718,7 @@ func runCores(mixName string, profs []workload.Profile, cfg Config) (MultiResult
 	var nextPage uint64
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
-		seed := cfg.Seed + uint64(i)*7919
+		seed := workload.CoreSeed(cfg.Seed, i)
 		if cfg.Assets != nil {
 			traces[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
 		} else {

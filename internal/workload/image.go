@@ -197,29 +197,15 @@ func (im *Image) generateInto(page uint64) {
 }
 
 // Materialize generates every not-yet-generated page, fanning page
-// generation across a bounded worker pool (jobs<=0 = all cores). Each
-// worker owns a strided subset of the page index space, so workers
-// write disjoint flat/gen ranges and the result is byte-identical to
-// serial generation at any jobs.
+// generation across a bounded worker pool (jobs<=0 = all cores).
+// Workers write disjoint flat/gen ranges, so the result is
+// byte-identical to serial generation at any jobs.
 func (im *Image) Materialize(jobs int) {
-	n := im.prof.FootprintPages
 	im.ensureFlat()
-	gen := func(p int) {
+	parallel.Map(jobs, im.prof.FootprintPages, func(p int) struct{} {
 		if !im.gen[p] {
 			im.generateInto(uint64(p))
 			im.gen[p] = true
-		}
-	}
-	workers := parallel.Workers(jobs, n)
-	if workers <= 1 {
-		for p := 0; p < n; p++ {
-			gen(p)
-		}
-		return
-	}
-	parallel.Map(workers, workers, func(w int) struct{} {
-		for p := w; p < n; p += workers {
-			gen(p)
 		}
 		return struct{}{}
 	})
@@ -315,8 +301,7 @@ func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 	if !im.bindSizeCodec(codec) {
 		return
 	}
-	n := im.prof.FootprintPages
-	sizePage := func(p int) {
+	parallel.Map(jobs, im.prof.FootprintPages, func(p int) struct{} {
 		base := uint64(p) * memctl.LinesPerPage
 		buf := im.flat[uint64(p)*memctl.PageSize : uint64(p+1)*memctl.PageSize]
 		for i := 0; i < datagen.LinesPerPage; i++ {
@@ -327,18 +312,6 @@ func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 			if sz >= 0 && sz <= 0x7fff {
 				im.lineSize[base+uint64(i)] = int16(sz)
 			}
-		}
-	}
-	workers := parallel.Workers(jobs, n)
-	if workers <= 1 {
-		for p := 0; p < n; p++ {
-			sizePage(p)
-		}
-		return
-	}
-	parallel.Map(workers, workers, func(w int) struct{} {
-		for p := w; p < n; p += workers {
-			sizePage(p)
 		}
 		return struct{}{}
 	})

@@ -167,6 +167,18 @@ func Scale(p Profile, scale int) Profile {
 	return p
 }
 
+// coreSeedStride decorrelates the per-core streams of a multi-core run
+// (a prime).
+const coreSeedStride = 7919
+
+// CoreSeed derives core i's workload seed from a run's seed. Core 0
+// keeps the run seed, so a one-core run draws the same stream as a
+// single-benchmark run. The cycle simulator and the capacity
+// evaluation derive their per-core streams through this one function.
+func CoreSeed(seed uint64, core int) uint64 {
+	return seed + uint64(core)*coreSeedStride
+}
+
 // PageMix derives the full page-kind distribution (including zero
 // pages) that hits the profile's target compression ratio, solved from
 // the measured compressibility of the non-zero flavor mix (binned BPC,

@@ -353,3 +353,43 @@ func (c *countingController) ResetStats()                          {}
 func (c *countingController) Stats() memctl.Stats                  { return memctl.Stats{} }
 func (c *countingController) CompressedBytes() int64               { return 0 }
 func (c *countingController) InstalledBytes() int64                { return 0 }
+
+// TestSizeAllJobsIdentity pins the Materialize and SizeAll fan-outs:
+// on an image a trace has partly generated, stored to and sized, the
+// page bytes, generated-page map and size memo come out identical at
+// 1 and 8 workers, and every memo entry equals direct sizing.
+func TestSizeAllJobsIdentity(t *testing.T) {
+	p, _ := ByName("gcc")
+	p = Scale(p, 8)
+	codec := compress.BPC{}
+	at := func(jobs int) *Image {
+		tr := NewTrace(p, 5, 4000)
+		im := tr.Image()
+		var op Op
+		for i := 0; i < 4000; i++ {
+			tr.Next(&op)
+			if i%3 == 0 {
+				im.SizeLine(codec, op.LineAddr)
+			}
+		}
+		im.SizeAll(codec, jobs)
+		return im
+	}
+	serial, fanned := at(1), at(8)
+	if string(serial.flat) != string(fanned.flat) {
+		t.Fatal("page bytes differ between jobs 1 and 8")
+	}
+	for pg := range serial.gen {
+		if !serial.gen[pg] || !fanned.gen[pg] {
+			t.Fatalf("page %d not generated (jobs 1 %v, jobs 8 %v)", pg, serial.gen[pg], fanned.gen[pg])
+		}
+	}
+	for l, n := range serial.lineSize {
+		if fanned.lineSize[l] != n {
+			t.Fatalf("line %d: memo %d at jobs 1, %d at jobs 8", l, n, fanned.lineSize[l])
+		}
+		if want := compress.SizeOnly(codec, serial.Line(uint64(l))); int(n) != want {
+			t.Fatalf("line %d: memo %d, direct size %d", l, n, want)
+		}
+	}
+}
