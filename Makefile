@@ -47,12 +47,14 @@ bench-quick:
 # allocation regression on the hot paths (the 0-allocs property is
 # also pinned hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs).
 # Covers the codecs, the BPC plane builder, LZSizeBlock on DMC-shaped
-# 1 KB blocks and Image.SizeAll. Run with a real -benchtime for ns/op
-# numbers.
+# 1 KB blocks, Image.SizeAll, cold vs warm image binds (the pristine
+# size tables), cache.Access, dram.Access, cpu.Step and Trace.Next.
+# Run with a real -benchtime for ns/op numbers.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader' \
+	$(GO) test -run '^$$' \
+		-bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader|ImageBind|CacheAccess|DRAMAccess|CoreStep|TraceNext' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/ \
-		./internal/workload/
+		./internal/workload/ ./internal/cache/ ./internal/dram/ ./internal/cpu/
 
 # Single-run hot-loop benchmark: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial

@@ -62,7 +62,7 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "parallel workers for experiment cells (0 = all cores); output is byte-identical for any value")
 		bench    = flag.String("bench", "", "run one benchmark instead of an experiment")
 		mix      = flag.String("mix", "", "run one Tab. IV mix (e.g. mix1) across all systems")
-		capFrac  = flag.Float64("capacity", 0, "with -bench: run the memory-capacity evaluation at this constrained fraction (e.g. 0.7)")
+		capFrac  = flag.Float64("capacity", 0, "with -bench: run the memory-capacity evaluation at this constrained fraction in (0, 1] (e.g. 0.7)")
 		system   = flag.String("system", "compresso", "system for -bench: any registered backend (see -systems)")
 		systemsF = flag.Bool("systems", false, "list the registered memory-controller backends")
 		ops      = flag.Uint64("ops", 200_000, "trace operations for -bench")
@@ -134,7 +134,7 @@ func main() {
 	// An explicit -seed makes any value authoritative, including 0
 	// (which would otherwise alias the default 42); an explicit
 	// -trace-events must be a usable ring capacity.
-	seedSet, traceSet, jobsSet := false, false, false
+	seedSet, traceSet, jobsSet, capSet := false, false, false, false
 	fleetNodesSet, fleetPolicySet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -144,6 +144,8 @@ func main() {
 			traceSet = true
 		case "jobs":
 			jobsSet = true
+		case "capacity":
+			capSet = true
 		case "fleet-nodes":
 			fleetNodesSet = true
 		case "fleet-policy":
@@ -177,6 +179,7 @@ func main() {
 	run := runFlags{
 		Ops: *ops, Scale: *scale, Seed: *seed,
 		Inject: *inject, AuditEvery: *auditEv, Jobs: *jobs, Overlap: *overlap,
+		Bench: *bench, Capacity: *capFrac, CapacitySet: capSet,
 	}
 	if err := run.validate(); err != nil {
 		usageErr(err)
@@ -292,7 +295,7 @@ func main() {
 		runErr = experiments.Run(*exp, expOpts)
 	case *fleetF:
 		runFleet(*fleetNodes, *fleetPolicy, *quick, *seed, *scale, *jobs)
-	case *bench != "" && *capFrac > 0:
+	case capSet:
 		runCapacity(*bench, *capFrac, run)
 	case *bench != "":
 		runBench(*bench, *system, *compare, run)
@@ -768,6 +771,11 @@ type runFlags struct {
 	AuditEvery uint64
 	Jobs       int
 	Overlap    bool
+	// Bench is -bench; Capacity is -capacity, CapacitySet whether it
+	// was passed at all.
+	Bench       string
+	Capacity    float64
+	CapacitySet bool
 }
 
 func (f runFlags) validate() error {
@@ -776,6 +784,14 @@ func (f runFlags) validate() error {
 	}
 	if f.Ops == 0 {
 		return fmt.Errorf("-ops must be >= 1, got 0")
+	}
+	if f.CapacitySet {
+		if !(f.Capacity > 0 && f.Capacity <= 1) {
+			return fmt.Errorf("-capacity is the constrained fraction of the footprint and must be in (0, 1], got %v", f.Capacity)
+		}
+		if f.Bench == "" {
+			return fmt.Errorf("-capacity evaluates one benchmark; add -bench <name>")
+		}
 	}
 	return nil
 }

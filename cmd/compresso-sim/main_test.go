@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,13 @@ func TestRunFlagValidation(t *testing.T) {
 		{name: "zero scale", f: runFlags{Ops: 1000, Scale: 0}, wantErr: "-scale divides the footprint and must be >= 1"},
 		{name: "negative scale", f: runFlags{Ops: 1000, Scale: -4}, wantErr: "got -4"},
 		{name: "zero ops", f: runFlags{Ops: 0, Scale: 4}, wantErr: "-ops must be >= 1"},
+		{name: "capacity", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: 0.7, CapacitySet: true}},
+		{name: "capacity whole footprint", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: 1, CapacitySet: true}},
+		{name: "capacity negative", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: -0.5, CapacitySet: true}, wantErr: "must be in (0, 1], got -0.5"},
+		{name: "capacity zero", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: 0, CapacitySet: true}, wantErr: "must be in (0, 1], got 0"},
+		{name: "capacity NaN", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: math.NaN(), CapacitySet: true}, wantErr: "got NaN"},
+		{name: "capacity above footprint", f: runFlags{Ops: 1, Scale: 4, Bench: "gcc", Capacity: 1.5, CapacitySet: true}, wantErr: "got 1.5"},
+		{name: "capacity with mix", f: runFlags{Ops: 1, Scale: 4, Capacity: 0.7, CapacitySet: true}, wantErr: "add -bench"},
 	}
 	for _, c := range cases {
 		err := c.f.validate()

@@ -43,13 +43,15 @@ func main() {
 		uncomp, lcp, compre float64
 	}
 	var points []point
-	for _, frac := range []float64{0.9, 0.8, 0.7, 0.6, 0.5} {
-		cfg := capacity.DefaultConfig(frac)
-		cfg.Ops = 40_000
-		cfg.FootprintScale = 8
-		out := capacity.EvaluateMix("planner", profs, cfg)
+	// One profiling pass, replayed at every budget.
+	fracs := []float64{0.9, 0.8, 0.7, 0.6, 0.5}
+	cfg := capacity.DefaultConfig(0)
+	cfg.Ops = 40_000
+	cfg.FootprintScale = 8
+	for i, out := range capacity.Sweep(profs, cfg, fracs) {
 		// Normalize to the unconstrained bound: progress fraction.
 		u := out.Unconstrained
+		frac := fracs[i]
 		p := point{
 			frac:   frac,
 			uncomp: 1 / u,

@@ -124,9 +124,7 @@ type Outcome struct {
 // one-core case of EvaluateMix's loop, reported with its per-sizer
 // fault counts and mean ratios.
 func Evaluate(prof workload.Profile, cfg Config) Outcome {
-	out := evaluate([]workload.Profile{prof}, cfg)
-	out.Bench = prof.Name
-	return out
+	return Sweep([]workload.Profile{prof}, cfg, []float64{cfg.Frac})[0]
 }
 
 // MixOutcome is a 4-core capacity evaluation (Fig. 11a's mem-cap
@@ -141,41 +139,66 @@ type MixOutcome struct {
 // EvaluateMix runs the methodology for a multi-core mix with a shared
 // budget. Streams interleave round-robin (always under contention).
 func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
-	out := evaluate(profs, cfg)
+	out := Sweep(profs, cfg, []float64{cfg.Frac})[0]
 	return MixOutcome{MixName: mixName, RelPerf: out.RelPerf, Unconstrained: out.Unconstrained}
 }
 
-// evaluate is the one capacity loop behind Evaluate and EvaluateMix.
-// Stage 1 interleaves the cores' traces round-robin into one touch
-// stream of global page ids, sampling the combined ratios at every
-// interval boundary; stage 2 replays that stream per sizer through a
-// shared-budget pager. Since the interleaving is strict round-robin,
-// step i belongs to core i mod n. RelPerf and Unconstrained are the
-// per-core averages, Faults the per-core sums.
-func evaluate(profs []workload.Profile, cfg Config) Outcome {
+// Sweep is the one capacity loop behind Evaluate and EvaluateMix,
+// evaluated at several constrained fractions. Stage 1 (the profile)
+// does not depend on the fraction, so it runs once; stage 2 replays
+// its touch stream once per fraction. cfg.Frac is ignored: outcome i
+// is bit for bit the evaluation at fracs[i]. A one-profile sweep
+// names its benchmark in Bench.
+func Sweep(profs []workload.Profile, cfg Config, fracs []float64) []Outcome {
+	pr := profileRun(profs, cfg)
+	out := make([]Outcome, len(fracs))
+	for i, frac := range fracs {
+		out[i] = pr.replay(frac)
+		if len(profs) == 1 {
+			out[i].Bench = profs[0].Name
+		}
+	}
+	return out
+}
+
+// profile is stage 1's product: the interleaved touch stream of global
+// page ids and the combined per-sizer ratios at every interval.
+type profile struct {
+	cores     int
+	cfg       Config
+	footprint int64
+	interval  uint64
+	touches   []uint32
+	ratios    [][NSizers]float64
+}
+
+// profileRun is stage 1: it interleaves the cores' traces round-robin
+// into one touch stream of global page ids, sampling the combined
+// ratios at every interval boundary. Since the interleaving is strict
+// round-robin, step i belongs to core i mod n.
+func profileRun(profs []workload.Profile, cfg Config) *profile {
 	n := len(profs)
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
 	pageBase := make([]uint64, n)
 	var nextPage uint64
-	var footprint int64
+	pr := &profile{cores: n, cfg: cfg}
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
 		traces[i] = workload.NewTrace(p, workload.CoreSeed(cfg.Seed, i), cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
 		nextPage += uint64(p.FootprintPages)
-		footprint += int64(p.FootprintPages) * memctl.PageSize
+		pr.footprint += int64(p.FootprintPages) * memctl.PageSize
 	}
 
-	// Stage 1: profile — record page touches and per-interval ratios.
 	stepsTotal := cfg.Ops * uint64(n)
-	touches := make([]uint32, 0, stepsTotal)
-	interval := stepsTotal / uint64(cfg.Intervals)
-	if interval == 0 {
-		interval = 1
+	pr.touches = make([]uint32, 0, stepsTotal)
+	pr.interval = stepsTotal / uint64(cfg.Intervals)
+	if pr.interval == 0 {
+		pr.interval = 1
 	}
-	ratios := make([][NSizers]float64, 0, cfg.Intervals)
+	pr.ratios = make([][NSizers]float64, 0, cfg.Intervals)
 	var op workload.Op
 	for i := uint64(0); i < cfg.Ops; i++ {
 		for c, tr := range traces {
@@ -183,27 +206,34 @@ func evaluate(profs []workload.Profile, cfg Config) Outcome {
 			if op.Write {
 				trackers[c].noteStore(op.LineAddr)
 			}
-			touches = append(touches, uint32(pageBase[c]+op.LineAddr/memctl.LinesPerPage))
-			if uint64(len(touches))%interval == 0 && len(ratios) < cfg.Intervals {
-				ratios = append(ratios, combinedRatios(trackers))
+			pr.touches = append(pr.touches, uint32(pageBase[c]+op.LineAddr/memctl.LinesPerPage))
+			if uint64(len(pr.touches))%pr.interval == 0 && len(pr.ratios) < cfg.Intervals {
+				pr.ratios = append(pr.ratios, combinedRatios(trackers))
 			}
 		}
 	}
-	for len(ratios) < cfg.Intervals {
-		ratios = append(ratios, combinedRatios(trackers))
+	for len(pr.ratios) < cfg.Intervals {
+		pr.ratios = append(pr.ratios, combinedRatios(trackers))
 	}
+	return pr
+}
 
-	// Stage 2: shared-budget constrained replays, faults per core.
-	out := Outcome{Frac: cfg.Frac, FootprintB: footprint, RecordedTouch: len(touches)}
+// replay is stage 2 at one constrained fraction: one shared-budget
+// pager replay of the touch stream per sizer, faults attributed per
+// core. RelPerf and Unconstrained are the per-core averages, Faults
+// the per-core sums.
+func (pr *profile) replay(frac float64) Outcome {
+	n, cfg, ratios, interval := pr.cores, pr.cfg, pr.ratios, pr.interval
+	out := Outcome{Frac: frac, FootprintB: pr.footprint, RecordedTouch: len(pr.touches)}
 	var times [NSizers][]float64
 	for s := Sizer(0); s < NSizers; s++ {
 		budget := func(iv int) int64 {
-			return int64(cfg.Frac * float64(footprint) * ratios[clampIdx(iv, len(ratios))][s])
+			return int64(frac * float64(pr.footprint) * ratios[clampIdx(iv, len(ratios))][s])
 		}
 		pager := oskernel.NewPager(budget(0))
 		coreFaults := make([]uint64, n)
 		c, iv, next := 0, 0, interval
-		for i, page := range touches {
+		for i, page := range pr.touches {
 			if uint64(i) == next {
 				iv++
 				next += interval
@@ -240,7 +270,7 @@ func evaluate(profs []workload.Profile, cfg Config) Outcome {
 		total += b / float64(cfg.Ops)
 	}
 	out.Unconstrained = total / float64(n)
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(touches))
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(pr.touches))
 	return out
 }
 

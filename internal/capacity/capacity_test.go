@@ -246,3 +246,48 @@ func TestEvaluateJobsIdentity(t *testing.T) {
 		t.Errorf("EvaluateMix differs across jobs:\n1: %+v\n8: %+v", m1, m8)
 	}
 }
+
+// TestSweepMatchesEvaluate pins the shared stage 1: outcome i of a
+// multi-fraction sweep is bit for bit the one-fraction evaluation at
+// fracs[i], for a single benchmark and for a 4-core mix. Fractions are
+// deliberately out of order so a replay leaking state into the next
+// one shows.
+func TestSweepMatchesEvaluate(t *testing.T) {
+	fracs := []float64{0.8, 0.6, 0.7, 1}
+	cfg := quickCfg(0.5)
+	cfg.Ops = 20_000
+	soplex, err := workload.ByName("soplex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := Sweep([]workload.Profile{soplex}, cfg, fracs)
+	for i, frac := range fracs {
+		c := cfg
+		c.Frac = frac
+		if want := Evaluate(soplex, c); single[i] != want {
+			t.Errorf("soplex@%.1f: Sweep %+v, Evaluate %+v", frac, single[i], want)
+		}
+	}
+
+	var mix []workload.Profile
+	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix = append(mix, p)
+	}
+	multi := Sweep(mix, cfg, fracs)
+	for i, frac := range fracs {
+		c := cfg
+		c.Frac = frac
+		want := EvaluateMix("mix2", mix, c)
+		if multi[i].RelPerf != want.RelPerf || multi[i].Unconstrained != want.Unconstrained {
+			t.Errorf("mix2@%.1f: Sweep %v/%v, EvaluateMix %v/%v", frac,
+				multi[i].RelPerf, multi[i].Unconstrained, want.RelPerf, want.Unconstrained)
+		}
+		if one := Sweep(mix, cfg, []float64{frac})[0]; multi[i] != one {
+			t.Errorf("mix2@%.1f: sweep %+v, one-fraction sweep %+v", frac, multi[i], one)
+		}
+	}
+}

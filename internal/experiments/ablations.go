@@ -6,6 +6,7 @@ import (
 
 	"compresso/internal/compress"
 	"compresso/internal/core"
+	"compresso/internal/memctl"
 	"compresso/internal/sim"
 	"compresso/internal/stats"
 	"compresso/internal/workload"
@@ -152,8 +153,9 @@ type BPCVariantRow struct {
 }
 
 // BPCVariantsData measures raw compressed bytes over each image.
-// Benchmarks are independent cells; each owns its compressors and
-// scratch buffer so cells share nothing.
+// Benchmarks are independent cells. Best-of sizes come through the
+// image's memo (the shared pristine size table); the baseline variant
+// is sized directly.
 func BPCVariantsData(opt Options) []BPCVariantRow {
 	profs := workload.All()
 	return grid(opt, "bpc-variants", len(profs), func(_ context.Context, i int) BPCVariantRow {
@@ -164,8 +166,9 @@ func BPCVariantsData(opt Options) []BPCVariantRow {
 		img := workload.NewImage(prof, opt.seed())
 		var bb, bl int64
 		for p := uint64(0); p < uint64(prof.FootprintPages); p++ {
-			for _, line := range img.Page(p) {
-				bb += int64(compress.SizeOnly(best, line))
+			base := p * memctl.LinesPerPage
+			for i, line := range img.Page(p) {
+				bb += int64(img.SizeLine(best, base+uint64(i)))
 				bl += int64(compress.SizeOnly(baseline, line))
 			}
 		}

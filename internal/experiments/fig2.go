@@ -36,7 +36,9 @@ type Fig2Row struct {
 // benchmark's memory image: {BPC, BDI} × {LinePack, LCP-packing}, all
 // with the legacy 0/22/44/64 line bins (the packing comparison of
 // §II-C predates the alignment optimization). Benchmarks are
-// independent cells fanned out across Options.Jobs workers.
+// independent cells fanned out across Options.Jobs workers. BPC sizes
+// come through the image's memo, which starts from the process-wide
+// pristine size table the cycle runs of the same image share.
 func Fig2Data(opt Options) []Fig2Row {
 	profs := workload.All()
 	return grid(opt, "fig2", len(profs), func(_ context.Context, n int) Fig2Row {
@@ -49,9 +51,9 @@ func Fig2Data(opt Options) []Fig2Row {
 		var footprint, lpBPC, lcpBPC, lpBDI, lcpBDI int64
 		var rawsBPC, rawsBDI [memctl.LinesPerPage]uint8
 		for p := uint64(0); p < uint64(prof.FootprintPages); p++ {
-			page := img.Page(p)
-			for i, line := range page {
-				rawsBPC[i] = lineSize8(compress.SizeOnly(bpc, line))
+			base := p * memctl.LinesPerPage
+			for i, line := range img.Page(p) {
+				rawsBPC[i] = lineSize8(img.SizeLine(bpc, base+uint64(i)))
 				rawsBDI[i] = lineSize8(compress.SizeOnly(bdi, line))
 			}
 			footprint += memctl.PageSize

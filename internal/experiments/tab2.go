@@ -21,10 +21,10 @@ type Tab2Cell struct {
 
 // Tab2Data sweeps the constrained-memory fractions of Tab. II for 1-
 // and 4-core systems (capacity methodology; all numbers relative to
-// the constrained uncompressed baseline). The sweep is flattened to
-// (fraction, benchmark-or-mix) cells so it fans wide across
-// Options.Jobs workers; the per-cell results are averaged back into
-// table order afterwards.
+// the constrained uncompressed baseline). Each benchmark or mix is one
+// cell that profiles once and replays at every fraction
+// (capacity.Sweep), so the cells fan out across Options.Jobs workers;
+// the per-cell results are averaged back into table order afterwards.
 func Tab2Data(opt Options) ([]Tab2Cell, error) {
 	fracs := []float64{0.8, 0.7, 0.6}
 	profs := workload.PerformanceSet()
@@ -38,47 +38,42 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 		mixProfs[i] = ps
 	}
 
-	// Cell layout per fraction: the single-core benchmarks first, then
-	// the 4-core mixes. The row type's fields are exported so the cell
-	// journals losslessly (journal.Record verifies the round-trip).
-	perFrac := len(profs) + len(mixes)
+	// Cell layout: the single-core benchmarks first, then the 4-core
+	// mixes; each cell holds one row per fraction. The row type's
+	// fields are exported so the cell journals losslessly
+	// (journal.Record verifies the round-trip).
 	type rel struct{ LCP, Comp, Unc float64 }
-	vals := grid(opt, "tab2", len(fracs)*perFrac, func(_ context.Context, k int) rel {
-		frac := fracs[k/perFrac]
-		j := k % perFrac
+	vals := grid(opt, "tab2", len(profs)+len(mixes), func(_ context.Context, j int) []rel {
+		cfg := capacity.DefaultConfig(0) // Sweep sets the fraction
+		cfg.Ops = opt.ops()
+		cfg.FootprintScale = opt.scale()
+		cfg.Seed = opt.seed()
+		var outs []capacity.Outcome
 		if j < len(profs) {
-			cfg := capacity.DefaultConfig(frac)
-			cfg.Ops = opt.ops() * 2
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			out := capacity.Evaluate(profs[j], cfg)
-			return rel{
+			cfg.Ops *= 2
+			outs = capacity.Sweep(profs[j:j+1], cfg, fracs)
+		} else {
+			outs = capacity.Sweep(mixProfs[j-len(profs)], cfg, fracs)
+		}
+		rows := make([]rel, len(outs))
+		for f, out := range outs {
+			rows[f] = rel{
 				LCP:  out.RelPerf[capacity.LCP],
 				Comp: out.RelPerf[capacity.Compresso],
 				Unc:  out.Unconstrained,
 			}
 		}
-		m := j - len(profs)
-		cfg := capacity.DefaultConfig(frac)
-		cfg.Ops = opt.ops()
-		cfg.FootprintScale = opt.scale()
-		cfg.Seed = opt.seed()
-		out := capacity.EvaluateMix(mixes[m].Name, mixProfs[m], cfg)
-		return rel{
-			LCP:  out.RelPerf[capacity.LCP],
-			Comp: out.RelPerf[capacity.Compresso],
-			Unc:  out.Unconstrained,
-		}
+		return rows
 	})
 
 	var cells []Tab2Cell
 	for f, frac := range fracs {
-		mean := func(lo, hi int, cores int) Tab2Cell {
+		mean := func(cellVals [][]rel, cores int) Tab2Cell {
 			var lcp, comp, unc []float64
-			for _, v := range vals[f*perFrac+lo : f*perFrac+hi] {
-				lcp = append(lcp, v.LCP)
-				comp = append(comp, v.Comp)
-				unc = append(unc, v.Unc)
+			for _, v := range cellVals {
+				lcp = append(lcp, v[f].LCP)
+				comp = append(comp, v[f].Comp)
+				unc = append(unc, v[f].Unc)
 			}
 			return Tab2Cell{
 				Frac: frac, Cores: cores,
@@ -87,8 +82,8 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 				Unconstrained: stats.Mean(unc),
 			}
 		}
-		cells = append(cells, mean(0, len(profs), 1))
-		cells = append(cells, mean(len(profs), perFrac, 4))
+		cells = append(cells, mean(vals[:len(profs)], 1))
+		cells = append(cells, mean(vals[len(profs):], 4))
 	}
 	return cells, nil
 }

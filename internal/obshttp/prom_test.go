@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"compresso/internal/obs"
+	"compresso/internal/workload"
 )
 
 func expositionSnapshot() obs.Snapshot {
@@ -46,6 +47,25 @@ func TestExpositionGolden(t *testing.T) {
 	// The golden must itself satisfy the validator the smoke target uses.
 	if err := CheckExposition(bytes.NewReader(want)); err != nil {
 		t.Fatalf("golden fails CheckExposition: %v", err)
+	}
+
+	// The size-memo harness metrics' names and kinds are part of the
+	// same contract.
+	reg := obs.NewRegistry()
+	registerSizeMemo(reg, workload.SizeMemo{Tables: 3, Bytes: 24576, Hits: 9, Misses: 3})
+	buf.Reset()
+	if err := WriteExposition(&buf, reg.Snapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	golden = filepath.Join("testdata", "size_memo.golden")
+	if want, err = os.ReadFile(golden); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("size-memo exposition drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.String(), want)
+	}
+	if err := CheckExposition(bytes.NewReader(want)); err != nil {
+		t.Fatalf("size-memo golden fails CheckExposition: %v", err)
 	}
 }
 

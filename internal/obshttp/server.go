@@ -24,6 +24,7 @@ import (
 
 	"compresso/internal/obs"
 	"compresso/internal/progress"
+	"compresso/internal/workload"
 )
 
 // harnessSampleMs is the wall-clock period of the server's own
@@ -127,10 +128,22 @@ func (s *Server) sampleLoop() {
 			return
 		case <-tick.C:
 			s.mu.Lock()
+			registerSizeMemo(s.reg, workload.SizeMemoStats())
 			s.hSampler.Sample(uint64(time.Since(s.epoch).Milliseconds()), s.reg.Snapshot())
 			s.mu.Unlock()
 		}
 	}
+}
+
+// registerSizeMemo publishes the process-wide pristine size tables
+// (workload.SizeMemoStats) as harness.size_memo_* metrics: their count
+// and bytes as gauges, memo binds served by a table copy (hits) and
+// binds that sized their own lines (misses) as counters.
+func registerSizeMemo(r *obs.Registry, m workload.SizeMemo) {
+	r.Gauge("harness.size_memo_tables").Set(float64(m.Tables))
+	r.Gauge("harness.size_memo_bytes").Set(float64(m.Bytes))
+	r.Counter("harness.size_memo_hits").Set(uint64(m.Hits))
+	r.Counter("harness.size_memo_misses").Set(uint64(m.Misses))
 }
 
 // GridStart implements parallel.Progress: grid activity becomes
@@ -233,6 +246,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.reg.Gauge("harness.uptime_seconds").Set(time.Since(s.epoch).Seconds())
+	registerSizeMemo(s.reg, workload.SizeMemoStats())
 	harness := s.reg.Snapshot()
 	runName, runSnap := s.runName, s.runSnap
 	s.mu.Unlock()

@@ -253,11 +253,13 @@ func TestServerNoRunNoTracker(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Without a run or grids, /metrics still exposes the harness gauge
+	// Without a run or grids, /metrics still exposes the harness gauges
 	// and must parse.
 	body, _ := get(t, addr, "/metrics")
-	if !strings.Contains(body, "harness_uptime_seconds") {
-		t.Fatalf("missing uptime gauge:\n%s", body)
+	for _, want := range []string{"harness_uptime_seconds", "harness_size_memo_tables", "harness_size_memo_hits"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("missing %s:\n%s", want, body)
+		}
 	}
 	if err := CheckExposition(strings.NewReader(body)); err != nil {
 		t.Fatalf("/metrics fails validation: %v", err)

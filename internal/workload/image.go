@@ -37,10 +37,14 @@ type Image struct {
 	pages []datagen.Page
 
 	// Per-line compressed-size memo for one codec (bound on first
-	// SizeLine/SizeAll call, identified by Codec.Name). -1 marks a line
-	// whose size is unknown or stale; stores invalidate via noteStore.
+	// SizeLine/SizeAll call, identified by Codec.Name), one byte per
+	// line. sizeUnknown marks a line whose size is unknown or stale;
+	// stores invalidate via noteStore. An image still pristine when it
+	// binds starts from its key's shared size table (sizememo.go);
+	// stored records a store before binding, which rules that out.
 	sizeCodec string
-	lineSize  []int16
+	lineSize  []uint8
+	stored    bool
 
 	// Store-size sharing for recorded-trace replays (TraceLog.Replay):
 	// lastStore[line] is 1 + the index of the last recorded store the
@@ -242,18 +246,38 @@ func (im *Image) Lines() uint64 {
 
 // bindSizeCodec lazily attaches the size memo to a codec. Returns
 // false when the memo is already bound to a different codec (callers
-// then bypass the memo and size directly).
-func (im *Image) bindSizeCodec(codec compress.Codec) bool {
+// then bypass the memo and size directly). A pristine image starts its
+// memo as a copy of the key's shared size table; the first such image
+// builds that table from its own content with SizeAll's page fan-out
+// across jobs workers. Any other image starts with every size unknown.
+func (im *Image) bindSizeCodec(codec compress.Codec, jobs int) bool {
 	name := codec.Name()
-	if im.lineSize == nil {
-		im.sizeCodec = name
-		im.lineSize = make([]int16, im.Lines())
-		for i := range im.lineSize {
-			im.lineSize[i] = -1
-		}
-		return true
+	if im.lineSize != nil {
+		return im.sizeCodec == name
 	}
-	return im.sizeCodec == name
+	im.sizeCodec = name
+	if t := im.pristineTable(name); t != nil {
+		built := false
+		t.once.Do(func() {
+			im.Materialize(jobs)
+			im.lineSize = unknownSizes(im.Lines())
+			im.sizePages(codec, jobs)
+			t.sizes = append([]uint8(nil), im.lineSize...)
+			built = true
+		})
+		if built {
+			sizeTables.misses.Add(1)
+			return true
+		}
+		if t.sizes != nil {
+			im.lineSize = append([]uint8(nil), t.sizes...)
+			sizeTables.hits.Add(1)
+			return true
+		}
+	}
+	sizeTables.misses.Add(1)
+	im.lineSize = unknownSizes(im.Lines())
+	return true
 }
 
 // SizeLine returns compress.SizeOnly(codec, line-content), memoized
@@ -273,21 +297,21 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 			return compress.SizeOnly(codec, im.Line(lineAddr))
 		}
 		if im.lineSize != nil && im.sizeCodec == codec.Name() {
-			if n := im.lineSize[lineAddr]; n >= 0 {
+			if n := im.lineSize[lineAddr]; n != sizeUnknown {
 				return int(n)
 			}
 		}
 		return compress.SizeOnly(codec, im.Line(lineAddr))
 	}
-	if !im.bindSizeCodec(codec) {
+	if !im.bindSizeCodec(codec, 1) {
 		return compress.SizeOnly(codec, im.Line(lineAddr))
 	}
-	if n := im.lineSize[lineAddr]; n >= 0 {
+	if n := im.lineSize[lineAddr]; n != sizeUnknown {
 		return int(n)
 	}
 	n := compress.SizeOnly(codec, im.Line(lineAddr))
-	if n >= 0 && n <= 0x7fff {
-		im.lineSize[lineAddr] = int16(n)
+	if n >= 0 && n < sizeUnknown {
+		im.lineSize[lineAddr] = uint8(n)
 	}
 	return n
 }
@@ -298,19 +322,24 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 // byte-identical at any jobs.
 func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 	im.Materialize(jobs)
-	if !im.bindSizeCodec(codec) {
-		return
+	if im.bindSizeCodec(codec, jobs) {
+		im.sizePages(codec, jobs)
 	}
+}
+
+// sizePages sizes every line of the materialized image whose memo
+// entry is unknown, one page per parallel.Map cell.
+func (im *Image) sizePages(codec compress.Codec, jobs int) {
 	parallel.Map(jobs, im.prof.FootprintPages, func(p int) struct{} {
 		base := uint64(p) * memctl.LinesPerPage
 		buf := im.flat[uint64(p)*memctl.PageSize : uint64(p+1)*memctl.PageSize]
 		for i := 0; i < datagen.LinesPerPage; i++ {
-			if im.lineSize[base+uint64(i)] >= 0 {
+			if im.lineSize[base+uint64(i)] != sizeUnknown {
 				continue
 			}
 			sz := compress.SizeOnly(codec, buf[i*compress.LineSize:(i+1)*compress.LineSize])
-			if sz >= 0 && sz <= 0x7fff {
-				im.lineSize[base+uint64(i)] = int16(sz)
+			if sz >= 0 && sz < sizeUnknown {
+				im.lineSize[base+uint64(i)] = uint8(sz)
 			}
 		}
 		return struct{}{}
@@ -322,9 +351,11 @@ func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 // runs on replay overlays — their bytes are shared with the master —
 // so this only ever touches an image that owns its memo.)
 func (im *Image) noteStore(lineAddr uint64) {
-	if im.lineSize != nil {
-		im.lineSize[lineAddr] = -1
+	if im.lineSize == nil {
+		im.stored = true
+		return
 	}
+	im.lineSize[lineAddr] = sizeUnknown
 }
 
 // overlay builds a replay view of a fully materialized image: the page
@@ -361,7 +392,7 @@ func (im *Image) Clone() *Image {
 		cp.gen = append([]bool(nil), im.gen...)
 	}
 	if im.lineSize != nil {
-		cp.lineSize = append([]int16(nil), im.lineSize...)
+		cp.lineSize = append([]uint8(nil), im.lineSize...)
 	}
 	if im.lastStore != nil {
 		cp.lastStore = append([]int32(nil), im.lastStore...)
