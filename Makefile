@@ -5,9 +5,9 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak loc
+.PHONY: check vet fmt-check build test race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet quick-identity obs-smoke chaos soak loc
 
-check: vet fmt-check build test race bench-kernels bench-hotloop backends fleet obs-smoke chaos
+check: vet fmt-check build test race bench-kernels bench-hotloop backends fleet quick-identity obs-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -131,6 +131,25 @@ fleet:
 	sha8=$$(cd .fleet/j8 && sha256sum *.json | sha256sum); \
 	[ "$$sha1" = "$$sha8" ] || { echo "fleet: artifacts differ across -jobs"; exit 1; }; \
 	echo "fleet: ok (package tests green, quick sweep sha-identical at -jobs 1 vs 8)"
+
+# Quick-suite identity gate (DESIGN.md §7): every experiment in quick
+# mode at -jobs 1 and -jobs 8, with the text output and the JSON
+# artifacts sha-compared. Experiments share cycle runs through the
+# process-wide run memo, whose first caller of a key computes it while
+# concurrent callers wait; this is the end-to-end proof that serving a
+# run to whichever experiment asks first keeps the suite byte-identical
+# at any worker count.
+quick-identity:
+	@rm -rf .quick-identity; mkdir -p .quick-identity/j1 .quick-identity/j8
+	@$(GO) build -o .quick-identity/compresso-sim ./cmd/compresso-sim
+	@set -e; trap 'rm -rf .quick-identity' EXIT; \
+	.quick-identity/compresso-sim -exp all -quick -jobs 1 -json .quick-identity/j1 > .quick-identity/out1.txt; \
+	.quick-identity/compresso-sim -exp all -quick -jobs 8 -json .quick-identity/j8 > .quick-identity/out8.txt; \
+	cmp -s .quick-identity/out1.txt .quick-identity/out8.txt || { echo "quick-identity: text output differs across -jobs"; exit 1; }; \
+	sha1=$$(cd .quick-identity/j1 && sha256sum *.json | sha256sum); \
+	sha8=$$(cd .quick-identity/j8 && sha256sum *.json | sha256sum); \
+	[ "$$sha1" = "$$sha8" ] || { echo "quick-identity: artifacts differ across -jobs"; exit 1; }; \
+	echo "quick-identity: ok (quick suite text and artifacts sha-identical at -jobs 1 vs 8)"
 
 # Live-introspection smoke test: start a sweep with -serve, poll the
 # endpoints, and validate the /metrics exposition with the binary's

@@ -319,6 +319,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "compresso-sim: journal %s: %s\n", jrnl.Path(), jrnl.Stats())
 	}
+	if *exp != "" {
+		fmt.Fprintf(os.Stderr, "compresso-sim: run memo: %s\n", experiments.RunMemoStats())
+	}
 	if *traceOut != "" {
 		writeTraceOut(*traceOut, tracker)
 	}

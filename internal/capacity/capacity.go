@@ -63,8 +63,9 @@ func (s Sizer) String() string {
 // Config parameterizes a capacity evaluation.
 type Config struct {
 	// Frac constrains memory to this fraction of the footprint
-	// (Tab. II evaluates 0.8, 0.7, 0.6).
-	Frac float64
+	// (Tab. II evaluates 0.8, 0.7, 0.6). Outside memctl.ConfigKey:
+	// Sweep ignores it and takes its fractions as a separate list.
+	Frac float64 `key:"-"`
 	// Ops is the trace length (the paper's full-run analogue).
 	Ops uint64
 	// Intervals is the number of profiling intervals.
@@ -82,8 +83,8 @@ type Config struct {
 	FootprintScale int
 	// Jobs bounds the worker pool for the tracker's batched
 	// construction scans (0 = all cores). Results are byte-identical
-	// at any value (DESIGN.md §7).
-	Jobs int
+	// at any value (DESIGN.md §7), so memctl.ConfigKey skips it.
+	Jobs int `key:"-"`
 }
 
 // DefaultConfig returns the standard setup at the given constrained

@@ -12,11 +12,15 @@ func init() {
 		Name:         "compresso",
 		Desc:         "Compresso: LinePack lines, 8 page sizes, repacking, metadata cache (the paper)",
 		MachineBytes: memctl.CompressedMachineBytes,
-		New: func(p memctl.BuildParams) memctl.Controller {
+		Config: func(p memctl.BuildParams) any {
 			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
 			c.Overlap = p.Overlap // before Mod: ablation hooks may override
 			memctl.ApplyMod(p, &c)
 			metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
+			return c
+		},
+		Build: func(config any, p memctl.BuildParams) memctl.Controller {
+			c := config.(Config)
 			c.Faults = p.Injector
 			return New(c, p.Mem, p.Source)
 		},

@@ -86,12 +86,17 @@ type Config struct {
 	// OnMemoryPressure, when set, is invoked when chunk allocation
 	// fails; it should free machine memory (the §V-B ballooning path)
 	// and report whether it did. Unset, allocation failure panics.
-	OnMemoryPressure func(needChunks int) bool
+	// Outside memctl.ConfigKey: simulator runs size machine memory
+	// for the uncompressed footprint (memctl.CompressedMachineBytes),
+	// so allocation never fails there and the hook never runs.
+	OnMemoryPressure func(needChunks int) bool `key:"-"`
 
 	// Faults, when set, injects bit flips, allocator mistakes and
 	// forced metadata misses into the controller (internal/faults).
 	// Nil disables injection; the demand path is then unchanged.
-	Faults *faults.Injector
+	// Outside memctl.ConfigKey: the backend's Build hook wires the
+	// run's injector, which sim.Config.Inject (in the key) configures.
+	Faults *faults.Injector `key:"-"`
 }
 
 // DefaultConfig returns the paper's Compresso configuration for a

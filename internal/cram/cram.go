@@ -451,10 +451,13 @@ func init() {
 		Name:         "cram",
 		Desc:         "CRAM-style bandwidth enhancement: burst-packed line pairs, location predictor, no capacity benefit (Young et al.)",
 		MachineBytes: memctl.BaselineMachineBytes,
-		New: func(p memctl.BuildParams) memctl.Controller {
+		Config: func(p memctl.BuildParams) any {
 			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
 			memctl.ApplyMod(p, &c)
-			return New(c, p.Mem, p.Source)
+			return c
+		},
+		Build: func(config any, p memctl.BuildParams) memctl.Controller {
+			return New(config.(Config), p.Mem, p.Source)
 		},
 	})
 }

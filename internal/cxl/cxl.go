@@ -398,10 +398,13 @@ func init() {
 		Name:         "cxl",
 		Desc:         "CXL expander tier: near DDR + far DRAM behind a serialized link with IBEX-style link compression",
 		MachineBytes: memctl.BaselineMachineBytes,
-		New: func(p memctl.BuildParams) memctl.Controller {
+		Config: func(p memctl.BuildParams) any {
 			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
 			memctl.ApplyMod(p, &c)
-			return New(c, p.Mem, p.Source)
+			return c
+		},
+		Build: func(config any, p memctl.BuildParams) memctl.Controller {
+			return New(config.(Config), p.Mem, p.Source)
 		},
 	})
 }

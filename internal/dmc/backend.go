@@ -12,11 +12,14 @@ func init() {
 			Name:         name,
 			Desc:         desc,
 			MachineBytes: memctl.CompressedMachineBytes,
-			New: func(p memctl.BuildParams) memctl.Controller {
+			Config: func(p memctl.BuildParams) any {
 				c := base(p.OSPAPages, p.MachineBytes)
 				memctl.ApplyMod(p, &c)
 				metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
-				return New(c, p.Mem, p.Source)
+				return c
+			},
+			Build: func(config any, p memctl.BuildParams) memctl.Controller {
+				return New(config.(Config), p.Mem, p.Source)
 			},
 		})
 	}

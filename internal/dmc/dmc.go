@@ -58,7 +58,9 @@ type Config struct {
 	DecompressLatency  uint64
 	MetadataHitLatency uint64
 
-	OnMemoryPressure func(needChunks int) bool
+	// OnMemoryPressure is the allocation-failure hook (see
+	// core.Config); outside memctl.ConfigKey for the same reason.
+	OnMemoryPressure func(needChunks int) bool `key:"-"`
 }
 
 // DefaultConfig returns a DMC configuration scaled like the other

@@ -40,7 +40,7 @@ func AbBinsData(opt Options) []AbBinsRow {
 			cfg.Seed = opt.seed()
 			cfg.Mods = map[string]any{string(sim.Compresso): mod}
 			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(prof, cfg)
 		}
 		eightBins := mk(func(c *core.Config) { c.Bins = compress.EightBins })
 		fourBins := mk(nil)
@@ -111,7 +111,7 @@ func AbAlignData(opt Options) []AbAlignRow {
 			cfg.Seed = opt.seed()
 			cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) { baselineMod(c); c.Bins = bins }}
 			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(prof, cfg)
 		}
 		legacy := mk(compress.LegacyBins)
 		aligned := mk(compress.CompressoBins)

@@ -72,7 +72,7 @@ func AttributionData(opt Options) ([]AttributionRow, error) {
 			cfg.Cancel = ctx
 			cfg.Attribution = true
 			cfg.TopPages = 8
-			res := sim.RunSingle(prof, cfg)
+			res := runSingle(prof, cfg)
 			if merged.Components == nil {
 				merged = res.Attribution
 			} else {

@@ -28,57 +28,50 @@ type BackendRow struct {
 	Extra   []ExtraBreakdown
 }
 
-// backendsCache memoizes the registry-wide sweep shared by
-// backends-ratio and backends-traffic (one computation per
-// (quick, seed) configuration).
-var backendsCache memo[[]BackendRow]
-
 // BackendsData sweeps every backend in the memctl registry over the
 // benchmark subset. The system list is taken from the registry at run
 // time, so newly registered backends join the sweep — and its JSON
 // artifact — with no experiment changes (DESIGN.md §12). Benchmarks
-// are independent cells fanned out across Options.Jobs workers.
-func BackendsData(opt Options) []BackendRow {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	rows, err := backendsCache.get(key, func() ([]BackendRow, error) {
-		systems := sim.AllSystems()
-		return gridErr(opt, "backends", len(backendBenchmarks), func(ctx context.Context, i int) (BackendRow, error) {
-			prof, err := workload.ByName(backendBenchmarks[i])
-			if err != nil {
-				return BackendRow{}, fmt.Errorf("backends: %w", err)
+// are independent cells fanned out across Options.Jobs workers;
+// backends-ratio and backends-traffic each rebuild the rows from the
+// run memo.
+func BackendsData(opt Options) ([]BackendRow, error) {
+	systems := sim.AllSystems()
+	return gridErr(opt, "backends", len(backendBenchmarks), func(ctx context.Context, i int) (BackendRow, error) {
+		prof, err := workload.ByName(backendBenchmarks[i])
+		if err != nil {
+			return BackendRow{}, fmt.Errorf("backends: %w", err)
+		}
+		row := BackendRow{
+			Bench:   prof.Name,
+			Systems: make([]string, len(systems)),
+			Perf:    make([]float64, len(systems)),
+			Ratio:   make([]float64, len(systems)),
+			Extra:   make([]ExtraBreakdown, len(systems)),
+		}
+		results := make([]sim.Result, len(systems))
+		var baseCycles uint64
+		for s, sys := range systems {
+			row.Systems[s] = sys.String()
+			results[s] = runCycle(ctx, prof, sys, opt)
+			if sys == sim.Uncompressed {
+				baseCycles = results[s].Cycles
 			}
-			row := BackendRow{
-				Bench:   prof.Name,
-				Systems: make([]string, len(systems)),
-				Perf:    make([]float64, len(systems)),
-				Ratio:   make([]float64, len(systems)),
-				Extra:   make([]ExtraBreakdown, len(systems)),
-			}
-			results := make([]sim.Result, len(systems))
-			var baseCycles uint64
-			for s, sys := range systems {
-				row.Systems[s] = sys.String()
-				results[s] = runCycle(ctx, prof, sys, opt)
-				if sys == sim.Uncompressed {
-					baseCycles = results[s].Cycles
-				}
-			}
-			for s, res := range results {
-				row.Perf[s] = float64(baseCycles) / float64(res.Cycles)
-				row.Ratio[s] = res.Ratio
-				row.Extra[s] = breakdown(res)
-			}
-			return row, nil
-		})
+		}
+		for s, res := range results {
+			row.Perf[s] = float64(baseCycles) / float64(res.Cycles)
+			row.Ratio[s] = res.Ratio
+			row.Extra[s] = breakdown(res)
+		}
+		return row, nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 func runBackendsRatio(opt Options) (any, error) {
-	rows := BackendsData(opt)
+	rows, err := BackendsData(opt)
+	if err != nil {
+		return nil, err
+	}
 	systems := rows[0].Systems
 	header(opt.Out, "Backends: cycle performance and compression ratio across the registry")
 
@@ -121,7 +114,10 @@ func runBackendsRatio(opt Options) (any, error) {
 }
 
 func runBackendsTraffic(opt Options) (any, error) {
-	rows := BackendsData(opt)
+	rows, err := BackendsData(opt)
+	if err != nil {
+		return nil, err
+	}
 	systems := rows[0].Systems
 	header(opt.Out, "Backends: extra data movement relative to demand accesses, across the registry")
 

@@ -71,7 +71,13 @@ var raceSlow = map[string]bool{
 func TestParallelDeterminism(t *testing.T) {
 	skipHeavy := testing.Short() || raceEnabled
 	render := func(jobs int) map[string]string {
-		resetMemos() // recompute shared sweeps at this jobs setting
+		resetMemos() // recompute every run at this jobs setting
+		misses := RunMemoStats().Misses
+		defer func() {
+			if RunMemoStats().Misses == misses {
+				t.Errorf("jobs=%d render computed no run; it read the memo of the previous render", jobs)
+			}
+		}()
 		out := make(map[string]string)
 		for _, e := range List() {
 			if heavyExperiments[e.Name] && skipHeavy {

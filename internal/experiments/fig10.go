@@ -48,59 +48,38 @@ type Fig10Row struct {
 // memory-sensitive).
 var Fig10Excluded = map[string]bool{"mcf": true, "GemsFDTD": true, "lbm": true}
 
-// fig10Cache memoizes the expensive dual-methodology sweep so that
-// fig10a, fig10b and fig12 (which share the same runs) compute it
-// once per (quick, seed) configuration. Results are deterministic;
-// concurrent callers under a parallel RunAll share one computation.
-var fig10Cache memo[[]Fig10Row]
-
 // Fig10Data runs the dual methodology for every performance benchmark.
 // Each benchmark is an independent cell, fanned out across
-// Options.Jobs workers and reassembled in suite order.
+// Options.Jobs workers and reassembled in suite order. fig10a, fig10b
+// and fig12 each rebuild the rows from the run memo.
 func Fig10Data(opt Options) []Fig10Row {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	rows, err := fig10Cache.get(key, func() ([]Fig10Row, error) {
-		profs := workload.PerformanceSet()
-		return grid(opt, "fig10", len(profs), func(ctx context.Context, i int) Fig10Row {
-			prof := profs[i]
-			row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
+	profs := workload.PerformanceSet()
+	return grid(opt, "fig10", len(profs), func(ctx context.Context, i int) Fig10Row {
+		prof := profs[i]
+		row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
 
-			// Cycle-based simulations.
-			base := runCycle(ctx, prof, sim.Uncompressed, opt)
-			row.Runs[base.System] = base
-			for i, sys := range CompressedSystems {
-				res := runCycle(ctx, prof, sys, opt)
-				row.Runs[res.System] = res
-				row.CycleRel[i] = float64(base.Cycles) / float64(res.Cycles)
-			}
+		// Cycle-based simulations.
+		base := runCycle(ctx, prof, sim.Uncompressed, opt)
+		row.Runs[base.System] = base
+		for i, sys := range CompressedSystems {
+			res := runCycle(ctx, prof, sys, opt)
+			row.Runs[res.System] = res
+			row.CycleRel[i] = float64(base.Cycles) / float64(res.Cycles)
+		}
 
-			// Memory-capacity impact at 70% constrained memory.
-			ccfg := capacity.DefaultConfig(0.7)
-			ccfg.Ops = opt.ops() * 3
-			ccfg.FootprintScale = opt.scale()
-			ccfg.Seed = opt.seed()
-			out := capacity.Evaluate(prof, ccfg)
-			for i, sys := range CompressedSystems {
-				row.CapRel[i] = out.RelPerf[capSizer(sys)]
-				row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
-			}
-			row.Unconstrained = out.Unconstrained
-			return row
-		}), nil
+		// Memory-capacity impact at 70% constrained memory.
+		ccfg := capacity.DefaultConfig(0.7)
+		ccfg.Ops = opt.ops() * 3
+		ccfg.FootprintScale = opt.scale()
+		ccfg.Seed = opt.seed()
+		out := capacitySweep([]workload.Profile{prof}, ccfg, []float64{ccfg.Frac})[0]
+		for i, sys := range CompressedSystems {
+			row.CapRel[i] = out.RelPerf[capSizer(sys)]
+			row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
+		}
+		row.Unconstrained = out.Unconstrained
+		return row
 	})
-	if err != nil {
-		// Only a panic in an earlier computation of the same key can
-		// leave an error here; resurface it for runRecovering.
-		panic(err)
-	}
-	return rows
-}
-
-func boolKey(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func runCycle(ctx context.Context, prof workload.Profile, sys sim.System, opt Options) sim.Result {
@@ -109,7 +88,7 @@ func runCycle(ctx context.Context, prof workload.Profile, sys sim.System, opt Op
 	cfg.FootprintScale = opt.scale()
 	cfg.Seed = opt.seed()
 	cfg.Cancel = ctx
-	return sim.RunSingle(prof, cfg)
+	return runSingle(prof, cfg)
 }
 
 func runFig10a(opt Options) (any, error) {

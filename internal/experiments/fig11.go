@@ -20,55 +20,53 @@ type Fig11Row struct {
 	Runs map[string]sim.MultiResult
 }
 
-// fig11Cache memoizes the mix sweep shared by fig11a and fig11b.
-var fig11Cache memo[[]Fig11Row]
-
 // Fig11Data runs the dual methodology for every multi-core mix. Each
 // mix is an independent cell, fanned out across Options.Jobs workers
-// and reassembled in Tab. IV order.
+// and reassembled in Tab. IV order. fig11a and fig11b each rebuild the
+// rows from the run memo.
 func Fig11Data(opt Options) ([]Fig11Row, error) {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	return fig11Cache.get(key, func() ([]Fig11Row, error) {
-		mixes := sim.Mixes()
-		return gridErr(opt, "fig11", len(mixes), func(ctx context.Context, m int) (Fig11Row, error) {
-			mix := mixes[m]
-			profs, err := mix.Profiles()
+	mixes := sim.Mixes()
+	return gridErr(opt, "fig11", len(mixes), func(ctx context.Context, m int) (Fig11Row, error) {
+		mix := mixes[m]
+		profs, err := mix.Profiles()
+		if err != nil {
+			return Fig11Row{}, fmt.Errorf("fig11: mix %s: %w", mix.Name, err)
+		}
+		row := Fig11Row{Mix: mix.Name, Runs: map[string]sim.MultiResult{}}
+
+		mkCfg := func(sys sim.System) sim.Config {
+			cfg := sim.DefaultConfig(sys)
+			cfg.Ops = opt.ops() / 2
+			cfg.FootprintScale = opt.scale()
+			cfg.Seed = opt.seed()
+			cfg.Cancel = ctx
+			return cfg
+		}
+		base := runMix(mix.Name, profs, mkCfg(sim.Uncompressed))
+		row.Runs[base.System] = base
+		for i, sys := range CompressedSystems {
+			res := runMix(mix.Name, profs, mkCfg(sys))
+			row.Runs[res.System] = res
+			row.CycleRel[i], err = res.WeightedSpeedup(base)
 			if err != nil {
 				return Fig11Row{}, fmt.Errorf("fig11: mix %s: %w", mix.Name, err)
 			}
-			row := Fig11Row{Mix: mix.Name, Runs: map[string]sim.MultiResult{}}
+		}
 
-			mkCfg := func(sys sim.System) sim.Config {
-				cfg := sim.DefaultConfig(sys)
-				cfg.Ops = opt.ops() / 2
-				cfg.FootprintScale = opt.scale()
-				cfg.Seed = opt.seed()
-				cfg.Cancel = ctx
-				return cfg
-			}
-			base := sim.RunMix(mix.Name, profs, mkCfg(sim.Uncompressed))
-			row.Runs[base.System] = base
-			for i, sys := range CompressedSystems {
-				res := sim.RunMix(mix.Name, profs, mkCfg(sys))
-				row.Runs[res.System] = res
-				row.CycleRel[i], err = res.WeightedSpeedup(base)
-				if err != nil {
-					return Fig11Row{}, fmt.Errorf("fig11: mix %s: %w", mix.Name, err)
-				}
-			}
-
-			ccfg := capacity.DefaultConfig(0.7)
-			ccfg.Ops = opt.ops()
-			ccfg.FootprintScale = opt.scale()
-			ccfg.Seed = opt.seed()
-			out := capacity.EvaluateMix(mix.Name, profs, ccfg)
-			for i, sys := range CompressedSystems {
-				row.CapRel[i] = out.RelPerf[capSizer(sys)]
-				row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
-			}
-			row.Unconstrained = out.Unconstrained
-			return row, nil
-		})
+		// Memory-capacity impact at 70% constrained memory: the 0.7
+		// outcome of Tab. II's sweep of the mix, which has the same
+		// trace, so the mix is profiled once for both.
+		ccfg := capacity.DefaultConfig(0)
+		ccfg.Ops = opt.ops()
+		ccfg.FootprintScale = opt.scale()
+		ccfg.Seed = opt.seed()
+		out := capacitySweep(profs, ccfg, tab2Fracs)[tab2Frac70]
+		for i, sys := range CompressedSystems {
+			row.CapRel[i] = out.RelPerf[capSizer(sys)]
+			row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
+		}
+		row.Unconstrained = out.Unconstrained
+		return row, nil
 	})
 }
 

@@ -68,14 +68,14 @@ func Fig4Data(opt Options) []Fig4Row {
 		cfg.Seed = opt.seed()
 		cfg.Mods = map[string]any{string(sim.Compresso): baselineMod}
 		cfg.Cancel = ctx
-		fixed := sim.RunSingle(prof, cfg)
+		fixed := runSingle(prof, cfg)
 
 		cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) {
 			baselineMod(c)
 			c.Allocation = core.VariableChunks
 			c.PageSizes = []int{1, 2, 4, 8}
 		}}
-		variable := sim.RunSingle(prof, cfg)
+		variable := runSingle(prof, cfg)
 
 		return Fig4Row{
 			Bench:    prof.Name,
@@ -160,7 +160,7 @@ func Fig6Data(opt Options) []Fig6Row {
 		cfg.Seed = opt.seed()
 		cfg.Mods = map[string]any{string(sim.Compresso): mod}
 		cfg.Cancel = ctx
-		res := sim.RunSingle(prof, cfg)
+		res := runSingle(prof, cfg)
 		return breakdown(res).Total()
 	})
 	rows := make([]Fig6Row, len(profs))

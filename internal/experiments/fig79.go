@@ -32,10 +32,10 @@ func Fig7Data(opt Options) []Fig7Row {
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
 		cfg.Cancel = ctx
-		with := sim.RunSingle(prof, cfg)
+		with := runSingle(prof, cfg)
 
 		cfg.Mods = map[string]any{string(sim.Compresso): func(c *core.Config) { c.DynamicRepacking = false }}
-		without := sim.RunSingle(prof, cfg)
+		without := runSingle(prof, cfg)
 
 		return Fig7Row{
 			Bench:      prof.Name,

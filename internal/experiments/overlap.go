@@ -37,10 +37,10 @@ func OverlapData(opt Options) []OverlapRow {
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
 		cfg.Cancel = ctx
-		serial := sim.RunSingle(prof, cfg)
+		serial := runSingle(prof, cfg)
 
 		cfg.Overlap = true
-		over := sim.RunSingle(prof, cfg)
+		over := runSingle(prof, cfg)
 
 		row := OverlapRow{
 			Bench:         prof.Name,

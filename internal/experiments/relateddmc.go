@@ -48,7 +48,7 @@ func RelatedDMCData(opt Options) ([]DMCRow, error) {
 			cfg.FootprintScale = opt.scale()
 			cfg.Seed = opt.seed()
 			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(prof, cfg)
 		}
 		base := run(sim.Uncompressed)
 		m := run(sim.MXT)

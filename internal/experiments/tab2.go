@@ -10,6 +10,12 @@ import (
 	"compresso/internal/workload"
 )
 
+// tab2Fracs are Tab. II's constrained-memory fractions; Fig. 11 reads
+// the 0.7 outcome, tab2Fracs[tab2Frac70], of the same mix sweeps.
+var tab2Fracs = []float64{0.8, 0.7, 0.6}
+
+const tab2Frac70 = 1
+
 // Tab2Cell is one (memory fraction, core count) cell of Tab. II.
 type Tab2Cell struct {
 	Frac          float64
@@ -26,7 +32,7 @@ type Tab2Cell struct {
 // (capacity.Sweep), so the cells fan out across Options.Jobs workers;
 // the per-cell results are averaged back into table order afterwards.
 func Tab2Data(opt Options) ([]Tab2Cell, error) {
-	fracs := []float64{0.8, 0.7, 0.6}
+	fracs := tab2Fracs
 	profs := workload.PerformanceSet()
 	mixes := sim.Mixes()
 	mixProfs := make([][]workload.Profile, len(mixes))
@@ -51,9 +57,9 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 		var outs []capacity.Outcome
 		if j < len(profs) {
 			cfg.Ops *= 2
-			outs = capacity.Sweep(profs[j:j+1], cfg, fracs)
+			outs = capacitySweep(profs[j:j+1], cfg, fracs)
 		} else {
-			outs = capacity.Sweep(mixProfs[j-len(profs)], cfg, fracs)
+			outs = capacitySweep(mixProfs[j-len(profs)], cfg, fracs)
 		}
 		rows := make([]rel, len(outs))
 		for f, out := range outs {

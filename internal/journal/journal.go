@@ -171,7 +171,10 @@ func (j *Journal) Lookup(label string, index int, hash string) (json.RawMessage,
 // to round-trip through JSON losslessly (a row type with unexported or
 // json:"-" fields would otherwise replay as silent zeros), and
 // appended with its checksum. The line is flushed to the OS before
-// Record returns, so a cell recorded here survives a SIGKILL.
+// Record returns, so a cell recorded here survives a SIGKILL. A row
+// the journal already holds under the same key is not appended again:
+// experiments that share a grid (fig10a, fig10b and fig12 each run
+// "fig10") may finish the same cell concurrently.
 func (j *Journal) Record(label string, index int, hash string, row any) error {
 	raw, err := json.Marshal(row)
 	if err != nil {
@@ -188,7 +191,11 @@ func (j *Journal) Record(label string, index int, hash string, row any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.entries[key(label, index, hash)] = raw
+	k := key(label, index, hash)
+	if old, ok := j.entries[k]; ok && bytes.Equal(old, raw) {
+		return nil
+	}
+	j.entries[k] = raw
 	j.stats.Recorded++
 	if _, err := j.w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("journal: appending: %w", err)

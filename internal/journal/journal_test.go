@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -93,6 +94,45 @@ func TestKeying(t *testing.T) {
 		if _, ok := j.Lookup(c.label, c.index, c.hash); ok != c.want {
 			t.Errorf("Lookup(%q, %d, %q) = %v, want %v", c.label, c.index, c.hash, ok, c.want)
 		}
+	}
+}
+
+// TestRecordSkipsHeldRow: recording a row the journal already holds
+// under the same key appends nothing; a different row under the key
+// appends and becomes the one replayed.
+func TestRecordSkipsHeldRow(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.Record("g", 1, "h", row{Name: "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Record("g", 1, "h", row{Name: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Stats().Recorded; got != 2 {
+		t.Fatalf("recorded %d rows, want 2 (the repeat skipped)", got)
+	}
+	j.Close()
+	buf, err := os.ReadFile(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(buf, []byte("\n")); lines != 2 {
+		t.Fatalf("journal holds %d lines, want 2", lines)
+	}
+	j2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	raw, ok := j2.Lookup("g", 1, "h")
+	if !ok || !bytes.Contains(raw, []byte(`"b"`)) {
+		t.Fatalf("replayed %s, want the later row", raw)
 	}
 }
 

@@ -54,7 +54,9 @@ type Config struct {
 	// metadata misses.
 	Speculate bool
 
-	OnMemoryPressure func(needChunks int) bool
+	// OnMemoryPressure is the allocation-failure hook (see
+	// core.Config); outside memctl.ConfigKey for the same reason.
+	OnMemoryPressure func(needChunks int) bool `key:"-"`
 }
 
 // DefaultConfig returns the paper's LCP baseline configuration.

@@ -87,8 +87,8 @@ func ApplyMod[C any](p BuildParams, c *C) {
 }
 
 // Backend is one registered memory-controller architecture: a name the
-// CLI/experiments resolve, a machine-memory sizing rule, and a
-// constructor. Registering a backend drops it into every fig-style
+// CLI/experiments resolve, a machine-memory sizing rule, a modelling
+// config hook, and a constructor over that config. Registering a backend drops it into every fig-style
 // sweep, the conformance/fuzz/audit harnesses and the JSON artifact
 // pipeline for free (DESIGN.md §12).
 type Backend struct {
@@ -104,8 +104,23 @@ type Backend struct {
 	// backend knows whether it pays a per-page metadata charge.
 	MachineBytes func(ospaPages int) int64
 
-	// New constructs the backend's controller for one run.
-	New func(p BuildParams) Controller
+	// Config returns the modelling config a run's controller is built
+	// from: the backend's defaults for p with p.Overlap and p.Mod
+	// applied. It reads only p's OSPAPages, MachineBytes,
+	// FootprintScale, Overlap and Mod, so it names a run's controller
+	// as data where Mod is a func: a run memo keys on it (ConfigKey)
+	// instead of on the Mod.
+	Config func(p BuildParams) any
+
+	// Build constructs the controller from a value Config returned for
+	// p, wiring in p's per-run Mem, Source and Injector.
+	Build func(config any, p BuildParams) Controller
+}
+
+// New constructs the backend's controller for one run from its Config
+// hook, so the config a key reads is the config the controller runs.
+func (b Backend) New(p BuildParams) Controller {
+	return b.Build(b.Config(p), p)
 }
 
 var backendRegistry = map[string]Backend{}
@@ -113,7 +128,7 @@ var backendRegistry = map[string]Backend{}
 // RegisterBackend adds a backend to the registry. It panics on a
 // duplicate or incomplete registration (a program-init bug).
 func RegisterBackend(b Backend) {
-	if b.Name == "" || b.MachineBytes == nil || b.New == nil {
+	if b.Name == "" || b.MachineBytes == nil || b.Config == nil || b.Build == nil {
 		panic(fmt.Sprintf("memctl: incomplete backend registration %+v", b))
 	}
 	if _, dup := backendRegistry[b.Name]; dup {
@@ -153,7 +168,9 @@ func init() {
 		Name:         "uncompressed",
 		Desc:         "baseline: OSPA == MPA, one DRAM access per demand op, no metadata",
 		MachineBytes: BaselineMachineBytes,
-		New: func(p BuildParams) Controller {
+		// The baseline has no modelling knobs.
+		Config: func(BuildParams) any { return struct{}{} },
+		Build: func(_ any, p BuildParams) Controller {
 			return NewUncompressed(p.Mem)
 		},
 	})

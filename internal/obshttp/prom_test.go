@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"compresso/internal/experiments"
 	"compresso/internal/obs"
 	"compresso/internal/workload"
 )
@@ -49,23 +50,24 @@ func TestExpositionGolden(t *testing.T) {
 		t.Fatalf("golden fails CheckExposition: %v", err)
 	}
 
-	// The size-memo harness metrics' names and kinds are part of the
-	// same contract.
+	// The memo harness metrics' names and kinds are part of the same
+	// contract.
 	reg := obs.NewRegistry()
 	registerSizeMemo(reg, workload.SizeMemo{Tables: 3, Bytes: 24576, Hits: 9, Misses: 3})
+	registerRunMemo(reg, experiments.RunMemo{Entries: 5, Hits: 11, Misses: 5, Bypassed: 2})
 	buf.Reset()
 	if err := WriteExposition(&buf, reg.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
-	golden = filepath.Join("testdata", "size_memo.golden")
+	golden = filepath.Join("testdata", "memos.golden")
 	if want, err = os.ReadFile(golden); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("size-memo exposition drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.String(), want)
+		t.Fatalf("memo exposition drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.String(), want)
 	}
 	if err := CheckExposition(bytes.NewReader(want)); err != nil {
-		t.Fatalf("size-memo golden fails CheckExposition: %v", err)
+		t.Fatalf("memo golden fails CheckExposition: %v", err)
 	}
 }
 

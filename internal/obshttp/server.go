@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"compresso/internal/experiments"
 	"compresso/internal/obs"
 	"compresso/internal/progress"
 	"compresso/internal/workload"
@@ -128,11 +129,17 @@ func (s *Server) sampleLoop() {
 			return
 		case <-tick.C:
 			s.mu.Lock()
-			registerSizeMemo(s.reg, workload.SizeMemoStats())
+			registerMemos(s.reg)
 			s.hSampler.Sample(uint64(time.Since(s.epoch).Milliseconds()), s.reg.Snapshot())
 			s.mu.Unlock()
 		}
 	}
+}
+
+// registerMemos publishes the process-wide memos' current counts.
+func registerMemos(r *obs.Registry) {
+	registerSizeMemo(r, workload.SizeMemoStats())
+	registerRunMemo(r, experiments.RunMemoStats())
 }
 
 // registerSizeMemo publishes the process-wide pristine size tables
@@ -144,6 +151,18 @@ func registerSizeMemo(r *obs.Registry, m workload.SizeMemo) {
 	r.Gauge("harness.size_memo_bytes").Set(float64(m.Bytes))
 	r.Counter("harness.size_memo_hits").Set(uint64(m.Hits))
 	r.Counter("harness.size_memo_misses").Set(uint64(m.Misses))
+}
+
+// registerRunMemo publishes the experiment run memo
+// (experiments.RunMemoStats) as harness.run_memo_* metrics: its entry
+// count as a gauge; calls served a stored result (hits), calls that
+// computed one (misses) and calls that ran unmemoized (bypassed) as
+// counters.
+func registerRunMemo(r *obs.Registry, m experiments.RunMemo) {
+	r.Gauge("harness.run_memo_entries").Set(float64(m.Entries))
+	r.Counter("harness.run_memo_hits").Set(uint64(m.Hits))
+	r.Counter("harness.run_memo_misses").Set(uint64(m.Misses))
+	r.Counter("harness.run_memo_bypassed").Set(uint64(m.Bypassed))
 }
 
 // GridStart implements parallel.Progress: grid activity becomes
@@ -246,7 +265,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.reg.Gauge("harness.uptime_seconds").Set(time.Since(s.epoch).Seconds())
-	registerSizeMemo(s.reg, workload.SizeMemoStats())
+	registerMemos(s.reg)
 	harness := s.reg.Snapshot()
 	runName, runSnap := s.runName, s.runSnap
 	s.mu.Unlock()

@@ -256,7 +256,8 @@ func TestServerNoRunNoTracker(t *testing.T) {
 	// Without a run or grids, /metrics still exposes the harness gauges
 	// and must parse.
 	body, _ := get(t, addr, "/metrics")
-	for _, want := range []string{"harness_uptime_seconds", "harness_size_memo_tables", "harness_size_memo_hits"} {
+	for _, want := range []string{"harness_uptime_seconds", "harness_size_memo_tables", "harness_size_memo_hits",
+		"harness_run_memo_entries", "harness_run_memo_hits", "harness_run_memo_misses", "harness_run_memo_bypassed"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("missing %s:\n%s", want, body)
 		}

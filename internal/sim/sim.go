@@ -98,8 +98,10 @@ type Config struct {
 	// Mods routes config modifiers (ablations) to registered backends
 	// by name; each backend documents its expected function type (e.g.
 	// func(*core.Config) for "compresso", func(*lcp.Config) for "lcp"
-	// and "lcp-align"). A typed-nil entry means no modifier.
-	Mods map[string]any
+	// and "lcp-align"). A typed-nil entry means no modifier. Outside
+	// memctl.ConfigKey: a key holds what the run's mod produces,
+	// BackendConfig, instead of the func.
+	Mods map[string]any `key:"-"`
 
 	// Inject configures deterministic fault injection (internal/faults).
 	// The zero value injects nothing and leaves the run bit-identical to
@@ -131,8 +133,10 @@ type Config struct {
 	// cumulative registry snapshot as the run loop takes it — the live
 	// introspection hook (-serve). Called synchronously from the run
 	// loop with a copy; implementations must not mutate simulator
-	// state and must not assume any timing.
-	OnSample func(cycle uint64, snap obs.Snapshot)
+	// state and must not assume any timing. Outside memctl.ConfigKey:
+	// it only observes, and the experiment run memo does not serve runs
+	// that set it.
+	OnSample func(cycle uint64, snap obs.Snapshot) `key:"-"`
 
 	// Overlap enables the overlapped-controller timing model on
 	// backends that support it (currently compresso): decompression
@@ -161,8 +165,8 @@ type Config struct {
 	// the page-generation and install-sizing work across the several
 	// systems of a comparison run. Must have been prepared for this
 	// config's profiles, FootprintScale and Seed; runs are
-	// byte-identical with or without it.
-	Assets *MixAssets
+	// byte-identical with or without it, so memctl.ConfigKey skips it.
+	Assets *MixAssets `key:"-"`
 
 	// Cancel, when non-nil, aborts the run cooperatively: the demand
 	// loop checks it every cancelCheckPeriod ops and unwinds with a
@@ -170,8 +174,9 @@ type Config struct {
 	// canceled or deadline-exceeded in-flight cell stops burning CPU
 	// instead of running to completion. The resilient grid runner
 	// recovers that sentinel and classifies it as a cancellation, not a
-	// defect (DESIGN.md §11). An aborted run produces no Result.
-	Cancel context.Context
+	// defect (DESIGN.md §11). An aborted run produces no Result, so
+	// memctl.ConfigKey skips it.
+	Cancel context.Context `key:"-"`
 }
 
 // cancelCheckPeriod is how many demand ops pass between Config.Cancel
@@ -469,25 +474,61 @@ func scaledL3Bytes(perCore, scale int) int {
 // by internal/capacity, per the paper's dual methodology) and
 // metadata-free backends are not charged for metadata they don't keep.
 func buildController(cfg Config, ospaPages int, mem *dram.Memory, src memctl.LineSource) (memctl.Controller, *faults.Injector) {
-	b, ok := memctl.LookupBackend(string(cfg.System))
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", cfg.System, memctl.BackendNames()))
-	}
+	b, p := buildParams(cfg, ospaPages)
 	inj := faults.New(cfg.Inject)
 	if inj.Enabled() {
 		mem.SetOnAccess(inj.NoteDRAM)
 	}
-	ctl := b.New(memctl.BuildParams{
+	p.Mem, p.Source, p.Injector = mem, src, inj
+	return b.New(p), inj
+}
+
+// buildParams resolves the system's registered backend and the
+// run-independent part of its build parameters; cfg is the shared
+// config (sharedConfig) of a run over ospaPages pages.
+func buildParams(cfg Config, ospaPages int) (memctl.Backend, memctl.BuildParams) {
+	b, ok := memctl.LookupBackend(string(cfg.System))
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", cfg.System, memctl.BackendNames()))
+	}
+	return b, memctl.BuildParams{
 		OSPAPages:      ospaPages,
 		MachineBytes:   b.MachineBytes(ospaPages),
 		FootprintScale: cfg.FootprintScale,
-		Mem:            mem,
-		Source:         src,
-		Injector:       inj,
 		Overlap:        cfg.Overlap,
 		Mod:            cfg.Mods[string(cfg.System)],
-	})
-	return ctl, inj
+	}
+}
+
+// sharedConfig is cfg as the memory system of an n-core run sees it.
+// Multi-core systems get a second memory channel and a shared metadata
+// cache sized for the combined footprint, the Xeon-class provisioning
+// the paper's 4-core results imply. The cores' images are scaled by
+// the caller's FootprintScale before this applies.
+func sharedConfig(cfg Config, n int) Config {
+	if n > 1 {
+		if cfg.DRAM.Channels == 1 {
+			cfg.DRAM.Channels = 2
+		}
+		if cfg.FootprintScale > 2 {
+			cfg.FootprintScale /= 2
+		}
+	}
+	return cfg
+}
+
+// BackendConfig returns the modelling config the controller of a run
+// of profs (one per core) under cfg is built from: the registered
+// backend's Config hook over the run's build parameters, with the
+// run's mod applied. It stands in for cfg.Mods in a run's
+// memctl.ConfigKey, so two mods that produce one config key one run.
+func BackendConfig(profs []workload.Profile, cfg Config) any {
+	var pages int
+	for _, p := range profs {
+		pages += workload.Scale(p, cfg.FootprintScale).FootprintPages
+	}
+	b, p := buildParams(sharedConfig(cfg, len(profs)), pages)
+	return b.Config(p)
 }
 
 // newAuditor builds the run's audit runner, or nil when auditing is
@@ -728,19 +769,8 @@ func runCores(mixName string, profs []workload.Profile, cfg Config) (MultiResult
 		base[i] = nextPage
 		nextPage += uint64(p.FootprintPages)
 	}
-	dcfg := cfg.DRAM
-	if n > 1 {
-		// Multi-core systems get a second memory channel and a shared
-		// metadata cache sized for the combined footprint, the
-		// Xeon-class provisioning the paper's 4-core results imply.
-		if dcfg.Channels == 1 {
-			dcfg.Channels = 2
-		}
-		if cfg.FootprintScale > 2 {
-			cfg.FootprintScale /= 2
-		}
-	}
-	mem := dram.New(dcfg)
+	cfg = sharedConfig(cfg, n)
+	mem := dram.New(cfg.DRAM)
 	src := &routedSource{basePages: base, images: images}
 	ctl, inj := buildController(cfg, int(nextPage), mem, src)
 	for i := range images {
