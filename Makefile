@@ -48,13 +48,15 @@ bench-quick:
 # also pinned hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs).
 # Covers the codecs, the BPC plane builder, LZSizeBlock on DMC-shaped
 # 1 KB blocks, Image.SizeAll, cold vs warm image binds (the pristine
-# size tables), cache.Access, dram.Access, cpu.Step and Trace.Next.
-# Run with a real -benchtime for ns/op numbers.
+# size tables), warm image installs per backend, cache.Access,
+# dram.Access, cpu.Step, Trace.Next, zipf draws, the pager's LRU touch
+# and one fleet node. Run with a real -benchtime for ns/op numbers.
 bench-kernels:
 	$(GO) test -run '^$$' \
-		-bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader|ImageBind|CacheAccess|DRAMAccess|CoreStep|TraceNext' \
+		-bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader|ImageBind|ImageInstall|CacheAccess|DRAMAccess|CoreStep|TraceNext|Zipf|PagerTouch|RunNode' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/ \
-		./internal/workload/ ./internal/cache/ ./internal/dram/ ./internal/cpu/
+		./internal/workload/ ./internal/cache/ ./internal/dram/ ./internal/cpu/ \
+		./internal/rng/ ./internal/oskernel/ ./internal/fleet/
 
 # Single-run hot-loop benchmark: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial

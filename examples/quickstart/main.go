@@ -60,13 +60,12 @@ func main() {
 	cfg := core.DefaultConfig(64 /*OSPA pages*/, 1<<20 /*1 MB machine*/)
 	ctl := core.New(cfg, mem, im)
 
-	// Install one page of counter arrays (warm start).
-	lines := make([][]byte, 64)
-	for i := range lines {
-		lines[i] = datagen.Line(r, datagen.Seq)
-		im[uint64(i)] = lines[i]
+	// Install one page of counter arrays (warm start): the controller
+	// reads the page's lines from its source.
+	for i := uint64(0); i < 64; i++ {
+		im[i] = datagen.Line(r, datagen.Seq)
 	}
-	ctl.InstallPage(0, lines)
+	ctl.InstallPage(0)
 	fmt.Printf("installed a 4 KB page of counters -> %d machine bytes (ratio %.1fx)\n",
 		ctl.CompressedBytes(), memctl.CompressionRatio(ctl))
 

@@ -268,25 +268,26 @@ func (c *Controller) compressCode(data []byte) uint8 {
 	return uint8(c.cfg.Bins.Code(n))
 }
 
-// compressCodeAt is compressCode for data that is the source's live
-// content at lineAddr (demand writebacks, InstallPage): when the
-// source exposes a memoized size path, sizing skips the compressor.
+// compressCodeAt returns the bin code of the source's live content at
+// lineAddr: through the memoized size path when the source has one
+// (sizing skips the compressor), else by sizing data, read from the
+// source when nil (a demand writeback passes its data, which is that
+// live content).
 func (c *Controller) compressCodeAt(lineAddr uint64, data []byte) uint8 {
 	if c.sizer != nil {
 		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, lineAddr)))
 	}
+	if data == nil {
+		c.source.ReadLine(lineAddr, c.lineBuf[:])
+		data = c.lineBuf[:]
+	}
 	return c.compressCode(data)
 }
 
-// sourceCode fetches the current value of (page, line) from the line
-// source and returns its bin code.
+// sourceCode returns the bin code of the source's current value of
+// (page, line).
 func (c *Controller) sourceCode(page uint64, line int) uint8 {
-	addr := page*metadata.LinesPerPage + uint64(line)
-	if c.sizer != nil {
-		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, addr)))
-	}
-	c.source.ReadLine(addr, c.lineBuf[:])
-	return c.compressCode(c.lineBuf[:])
+	return c.compressCodeAt(page*metadata.LinesPerPage+uint64(line), nil)
 }
 
 // --- allocation -------------------------------------------------------
@@ -857,12 +858,10 @@ func (c *Controller) checkPage(page uint64) {
 }
 
 // InstallPage implements memctl.Controller: pre-populates a page at
-// simulation setup with no accounting (fast-forward state).
-func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+// simulation setup with no accounting (fast-forward state), laid out
+// from its lines' sizes alone.
+func (c *Controller) InstallPage(page uint64) {
 	c.checkPage(page)
-	if len(lines) != metadata.LinesPerPage {
-		panic(fmt.Sprintf("core: InstallPage with %d lines", len(lines)))
-	}
 	ps := &c.pages[page]
 	if ps.meta.Valid {
 		panic(fmt.Sprintf("core: InstallPage of already-valid page %d", page))
@@ -870,8 +869,8 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 	c.pin(page)
 	defer c.unpin()
 	fresh := 0
-	for i, ln := range lines {
-		code := c.compressCodeAt(page*metadata.LinesPerPage+uint64(i), ln)
+	for i := range ps.actual {
+		code := c.sourceCode(page, i)
 		ps.actual[i] = code
 		fresh += c.cfg.Bins.SizeOf(int(code))
 	}

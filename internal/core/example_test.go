@@ -30,12 +30,7 @@ func Example() {
 	mem := dram.New(dram.DDR4_2666())
 	ctl := core.New(core.DefaultConfig(64, 1<<20), mem, src)
 
-	lines := make([][]byte, 64)
-	for i := range lines {
-		lines[i] = make([]byte, 64)
-		src.ReadLine(uint64(i), lines[i])
-	}
-	ctl.InstallPage(0, lines)
+	ctl.InstallPage(0) // the controller reads the page from src
 
 	ctl.ReadLine(0 /*cycle*/, 3 /*OSPA line*/)
 	fmt.Printf("page stored in %d bytes (ratio %.0fx); demand reads: %d\n",

@@ -133,11 +133,11 @@ func (f *faultingController) WriteLine(now uint64, a uint64, d []byte) memctl.Re
 func (f *faultingController) ReadLine(now uint64, a uint64) memctl.Result {
 	return memctl.Result{Done: now + 50}
 }
-func (f *faultingController) InstallPage(p uint64, l [][]byte) {}
-func (f *faultingController) ResetStats()                      {}
-func (f *faultingController) Stats() memctl.Stats              { return memctl.Stats{} }
-func (f *faultingController) CompressedBytes() int64           { return 0 }
-func (f *faultingController) InstalledBytes() int64            { return 0 }
+func (f *faultingController) InstallPage(p uint64)   {}
+func (f *faultingController) ResetStats()            {}
+func (f *faultingController) Stats() memctl.Stats    { return memctl.Stats{} }
+func (f *faultingController) CompressedBytes() int64 { return 0 }
+func (f *faultingController) InstalledBytes() int64  { return 0 }
 
 func TestWritebackFaultStalls(t *testing.T) {
 	f := &faultingController{penalty: 5000}

@@ -83,6 +83,7 @@ type Controller struct {
 	cfg    Config
 	mem    *dram.Memory
 	source memctl.LineSource
+	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
 
 	// sizes shadows every line's current compressed size; packed holds
 	// the per-pair layout state the predictor is guessing.
@@ -117,10 +118,12 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		panic(fmt.Sprintf("cram: PackThreshold %d outside (0, %d]", cfg.PackThreshold, memctl.LineBytes/2))
 	}
 	lines := cfg.OSPAPages * memctl.LinesPerPage
+	sizer, _ := source.(memctl.LineSizer)
 	return &Controller{
 		cfg:    cfg,
 		mem:    mem,
 		source: source,
+		sizer:  sizer,
 		sizes:  make([]uint8, lines),
 		packed: make([]bool, lines/2),
 		valid:  make([]bool, cfg.OSPAPages),
@@ -148,13 +151,22 @@ func (c *Controller) checkAddr(lineAddr uint64) {
 	}
 }
 
-// sizeOf computes the stored compressed size of a 64-byte value.
-func (c *Controller) sizeOf(data []byte) uint8 {
-	n := compress.SizeOnly(c.cfg.Codec, data)
-	if n > memctl.LineBytes {
-		n = memctl.LineBytes
+// sizeAt returns the stored compressed size of the source's live
+// content at lineAddr: through the memoized size path when the source
+// has one, else by sizing data, read from the source when nil (a
+// writeback passes its data, which is that live content).
+func (c *Controller) sizeAt(lineAddr uint64, data []byte) uint8 {
+	var n int
+	if c.sizer != nil {
+		n = c.sizer.SizeLine(c.cfg.Codec, lineAddr)
+	} else {
+		if data == nil {
+			c.source.ReadLine(lineAddr, c.lineBuf[:])
+			data = c.lineBuf[:]
+		}
+		n = compress.SizeOnly(c.cfg.Codec, data)
 	}
-	return uint8(n)
+	return uint8(min(n, memctl.LineBytes))
 }
 
 func (c *Controller) pairPackable(pair uint64) bool {
@@ -282,7 +294,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	partner := pairBase + (1 - lineAddr%2)
 	c.bufferDrop(pairBase) // the buffered copy is stale now
 
-	c.sizes[lineAddr] = c.sizeOf(data)
+	c.sizes[lineAddr] = c.sizeAt(lineAddr, data)
 	was := c.packed[pair]
 	can := c.pairPackable(pair)
 	issue := now + c.cfg.CompressLatency
@@ -333,13 +345,13 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 
 // InstallPage implements memctl.Controller: sizes every line and packs
 // qualifying pairs with no stat or timing charges.
-func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+func (c *Controller) InstallPage(page uint64) {
 	if page >= uint64(c.cfg.OSPAPages) {
 		panic(fmt.Sprintf("cram: page %d outside %d-page footprint", page, c.cfg.OSPAPages))
 	}
 	base := page * memctl.LinesPerPage
-	for i, line := range lines {
-		c.sizes[base+uint64(i)] = c.sizeOf(line)
+	for l := base; l < base+memctl.LinesPerPage; l++ {
+		c.sizes[l] = c.sizeAt(l, nil)
 	}
 	for p := base / 2; p < (base+memctl.LinesPerPage)/2; p++ {
 		c.packed[p] = c.pairPackable(p)
@@ -405,8 +417,7 @@ func (c *Controller) Audit(scope audit.Scope, repair bool) audit.Report {
 		dirty := false
 		if scope == audit.Full {
 			for l := base; l < base+memctl.LinesPerPage; l++ {
-				c.source.ReadLine(l, c.lineBuf[:])
-				if got := c.sizeOf(c.lineBuf[:]); got != c.sizes[l] {
+				if got := c.sizeAt(l, nil); got != c.sizes[l] {
 					v := audit.Violation{
 						Kind:   audit.SizeShadow,
 						Page:   page,

@@ -40,14 +40,12 @@ func zeroLine() []byte { return make([]byte, memctl.LineBytes) }
 
 func randomLine(r *rng.Rand) []byte { return datagen.Line(r, datagen.Random) }
 
-// installUniform fills page 0 with copies of line and returns the page.
+// installUniform fills page 0 with copies of line and installs it.
 func installUniform(c *Controller, im *image, line []byte) {
-	lines := make([][]byte, memctl.LinesPerPage)
-	for i := range lines {
-		lines[i] = line
-		im.set(uint64(i), line)
+	for i := uint64(0); i < memctl.LinesPerPage; i++ {
+		im.set(i, line)
 	}
-	c.InstallPage(0, lines)
+	c.InstallPage(0)
 }
 
 func TestInstallPacksQualifyingPairs(t *testing.T) {

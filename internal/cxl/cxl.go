@@ -93,6 +93,7 @@ type Controller struct {
 	near   *dram.Memory
 	far    *dram.Memory
 	source memctl.LineSource
+	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
 
 	nearPages uint64
 	// sizes shadows far lines' compressed sizes (the flit-count
@@ -127,11 +128,13 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	if cfg.FlitBytes <= 0 {
 		panic("cxl: FlitBytes must be positive")
 	}
+	sizer, _ := source.(memctl.LineSizer)
 	return &Controller{
 		cfg:       cfg,
 		near:      mem,
 		far:       dram.New(cfg.Far),
 		source:    source,
+		sizer:     sizer,
 		nearPages: uint64(float64(cfg.OSPAPages) * cfg.NearFraction),
 		sizes:     make([]uint8, cfg.OSPAPages*memctl.LinesPerPage),
 		valid:     make([]bool, cfg.OSPAPages),
@@ -163,20 +166,26 @@ func (c *Controller) checkAddr(lineAddr uint64) {
 
 func (c *Controller) isFar(page uint64) bool { return page >= c.nearPages }
 
-// sizeOf computes a line's link-compressed size (LineBytes when no
-// codec is configured).
-func (c *Controller) sizeOf(data []byte) uint8 {
+// sizeAt returns the link-compressed size of the source's live
+// content at lineAddr (LineBytes when no codec is configured): through
+// the memoized size path when the source has one, else by sizing
+// data, read from the source when nil (a writeback passes its data,
+// which is that live content).
+func (c *Controller) sizeAt(lineAddr uint64, data []byte) uint8 {
 	if c.cfg.Codec == nil {
 		return memctl.LineBytes
 	}
-	n := compress.SizeOnly(c.cfg.Codec, data)
-	if n > memctl.LineBytes {
-		n = memctl.LineBytes
+	var n int
+	if c.sizer != nil {
+		n = c.sizer.SizeLine(c.cfg.Codec, lineAddr)
+	} else {
+		if data == nil {
+			c.source.ReadLine(lineAddr, c.lineBuf[:])
+			data = c.lineBuf[:]
+		}
+		n = compress.SizeOnly(c.cfg.Codec, data)
 	}
-	if n < 1 {
-		n = 1
-	}
-	return uint8(n)
+	return uint8(max(1, min(n, memctl.LineBytes)))
 }
 
 // payloadFlits returns the flit count for a compressed payload of
@@ -266,7 +275,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	}
 
 	c.link.Writes++
-	size := c.sizeOf(data)
+	size := c.sizeAt(lineAddr, data)
 	c.sizes[lineAddr] = size
 	reqDone, queued, occupied := c.sendFlits(now+c.cfg.CompressLatency, &c.reqFree, 1+c.payloadFlits(size))
 	c.attr.Hidden(obs.CompLinkQueue, queued)
@@ -283,14 +292,14 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 
 // InstallPage implements memctl.Controller: records far-line sizes
 // with no stat or timing charges.
-func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+func (c *Controller) InstallPage(page uint64) {
 	if page >= uint64(c.cfg.OSPAPages) {
 		panic(fmt.Sprintf("cxl: page %d outside %d-page footprint", page, c.cfg.OSPAPages))
 	}
 	if c.isFar(page) {
 		base := page * memctl.LinesPerPage
-		for i, line := range lines {
-			c.sizes[base+uint64(i)] = c.sizeOf(line)
+		for l := base; l < base+memctl.LinesPerPage; l++ {
+			c.sizes[l] = c.sizeAt(l, nil)
 		}
 	}
 	if !c.valid[page] {
@@ -358,8 +367,7 @@ func (c *Controller) Audit(scope audit.Scope, repair bool) audit.Report {
 		dirty := false
 		base := page * memctl.LinesPerPage
 		for l := base; l < base+memctl.LinesPerPage; l++ {
-			c.source.ReadLine(l, c.lineBuf[:])
-			if got := c.sizeOf(c.lineBuf[:]); got != c.sizes[l] {
+			if got := c.sizeAt(l, nil); got != c.sizes[l] {
 				v := audit.Violation{
 					Kind:   audit.SizeShadow,
 					Page:   page,

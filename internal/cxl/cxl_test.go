@@ -41,13 +41,11 @@ func testController(mod func(*Config)) (*Controller, *image) {
 }
 
 func installPage(c *Controller, im *image, page uint64, line []byte) {
-	lines := make([][]byte, memctl.LinesPerPage)
 	base := page * memctl.LinesPerPage
-	for i := range lines {
-		lines[i] = line
-		im.set(base+uint64(i), line)
+	for i := uint64(0); i < memctl.LinesPerPage; i++ {
+		im.set(base+i, line)
 	}
-	c.InstallPage(page, lines)
+	c.InstallPage(page)
 }
 
 func farLine(page, i uint64) uint64 { return page*memctl.LinesPerPage + i }
@@ -94,7 +92,7 @@ func TestFlitAccounting(t *testing.T) {
 			c, im := testController(nil)
 			installPage(c, im, 2, tc.line)
 
-			size := c.sizeOf(tc.line)
+			size := c.sizeAt(0, tc.line)
 			wantRead := 1 + (1 + c.payloadFlits(size)) // req header + resp header+payload
 			c.ReadLine(0, farLine(2, 0))
 			if _, _, flits, _, _ := c.LinkStats(); flits != wantRead {
@@ -115,9 +113,9 @@ func TestFlitAccounting(t *testing.T) {
 
 	// Sanity: the compressed payload must actually be smaller.
 	c, _ := testController(nil)
-	if c.payloadFlits(c.sizeOf(zero)) >= c.payloadFlits(c.sizeOf(random)) {
+	if c.payloadFlits(c.sizeAt(0, zero)) >= c.payloadFlits(c.sizeAt(0, random)) {
 		t.Fatalf("compression does not shrink payload: zero %d flits, random %d flits",
-			c.payloadFlits(c.sizeOf(zero)), c.payloadFlits(c.sizeOf(random)))
+			c.payloadFlits(c.sizeAt(0, zero)), c.payloadFlits(c.sizeAt(0, random)))
 	}
 }
 

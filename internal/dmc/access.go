@@ -139,10 +139,21 @@ func (c *Controller) priceCold(page uint64, p *dmcPage) {
 
 // priceHot recomputes the page's LCP layout (target + exceptions).
 func (c *Controller) priceHot(page uint64, p *dmcPage) {
+	c.readActual(page, p)
+	c.layoutHot(p)
+}
+
+// readActual re-sizes every line of the page from its source data.
+func (c *Controller) readActual(page uint64, p *dmcPage) {
 	for l := 0; l < metadata.LinesPerPage; l++ {
 		c.source.ReadLine(page*metadata.LinesPerPage+uint64(l), c.lineBuf[:])
 		p.actual[l] = c.compressCode(c.lineBuf[:])
 	}
+}
+
+// layoutHot picks the hot layout (target + exceptions) for the page's
+// current line sizes.
+func (c *Controller) layoutHot(p *dmcPage) {
 	best := 1 << 30
 	sizes := c.cfg.Bins.Sizes()
 	for code := range sizes {
@@ -469,29 +480,20 @@ func (c *Controller) rewriteHotPage(now uint64, page uint64, p *dmcPage) {
 	c.stats.OverflowAccesses += moves
 }
 
-// InstallPage implements memctl.Controller (pages start hot).
-func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+// InstallPage implements memctl.Controller (pages start hot unless
+// StartCold), pricing the page from its source data.
+func (c *Controller) InstallPage(page uint64) {
 	c.checkPage(page)
-	if len(lines) != metadata.LinesPerPage {
-		panic(fmt.Sprintf("dmc: InstallPage with %d lines", len(lines)))
-	}
 	p := &c.pages[page]
 	if p.valid {
 		panic(fmt.Sprintf("dmc: InstallPage of already-valid page %d", page))
 	}
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
-	allZero := true
-	for i, ln := range lines {
-		code := c.compressCode(ln)
-		p.actual[i] = code
-		if code != 0 {
-			allZero = false
-		}
-	}
+	c.readActual(page, p)
 	p.valid = true
 	c.validPages++
-	if allZero {
+	if p.actual == ([metadata.LinesPerPage]uint8{}) {
 		p.zero = true
 		return
 	}
@@ -502,7 +504,7 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 		p.base = c.allocBlock(p.chunks)
 		return
 	}
-	c.priceHot(page, p)
+	c.layoutHot(p)
 	p.chunks = sizeChunks(c.hotPageBytes(p))
 	p.base = c.allocBlock(p.chunks)
 }

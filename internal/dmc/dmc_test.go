@@ -56,7 +56,7 @@ func install(c *Controller, im *image, page uint64, lines [][]byte) {
 	for i, l := range lines {
 		im.set(page*metadata.LinesPerPage+uint64(i), l)
 	}
-	c.InstallPage(page, lines)
+	c.InstallPage(page)
 }
 
 func TestInstallAndReadHot(t *testing.T) {

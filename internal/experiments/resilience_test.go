@@ -366,3 +366,120 @@ func TestRunAllSkipsOnCanceledContext(t *testing.T) {
 		t.Fatalf("canceled RunAll still took %v", elapsed)
 	}
 }
+
+// runText runs one experiment and returns its rendered text, failing
+// the test on error.
+func runText(t *testing.T, name string, opt Options) string {
+	t.Helper()
+	var buf bytes.Buffer
+	opt.Out = &buf
+	if err := Run(name, opt); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return buf.String()
+}
+
+// TestJournalResumeMemoizedExperiment is the journal/resume contract
+// over an experiment whose cells go through the run memo (fig4: two
+// runSingle calls per cell). The cut cancels cycle runs mid-flight;
+// the resume keeps the memo the interrupted run filled, so it mixes
+// journal replays, memo hits and fresh runs, and must still be
+// byte-identical to an uninterrupted run.
+func TestJournalResumeMemoizedExperiment(t *testing.T) {
+	refDir := t.TempDir()
+	resetMemos()
+	ref := runText(t, "fig4", Options{Quick: true, Seed: 42, Jobs: 1, JSONDir: refDir})
+	refArts := readArtifacts(t, refDir)
+
+	cuts := []struct {
+		jobs  int
+		after int32
+	}{{1, 11}, {2, 3}, {2, 23}}
+	if raceEnabled {
+		cuts = cuts[1:2]
+	}
+	for _, cut := range cuts {
+		dir := t.TempDir()
+		resetMemos()
+		ctx, cancel := context.WithCancel(context.Background())
+		j, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ierr := Run("fig4", Options{
+			Out: io.Discard, Quick: true, Seed: 42, Jobs: cut.jobs,
+			Ctx: ctx, Journal: j,
+			Progress: &cancelAfter{cancel: cancel, after: cut.after},
+		})
+		cancel()
+		j.Close()
+		recorded := j.Stats().Recorded
+		if ierr != nil && !errors.Is(ierr, context.Canceled) {
+			t.Fatalf("jobs=%d cut=%d: interrupted run error = %v, want context.Canceled", cut.jobs, cut.after, ierr)
+		}
+		if recorded < int(cut.after) {
+			t.Fatalf("jobs=%d cut=%d: only %d cells journaled before the cut", cut.jobs, cut.after, recorded)
+		}
+
+		j2, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outDir := t.TempDir()
+		out := runText(t, "fig4", Options{Quick: true, Seed: 42, Jobs: cut.jobs, Journal: j2, JSONDir: outDir})
+		st := j2.Stats()
+		j2.Close()
+		if st.Replayed == 0 {
+			t.Fatalf("jobs=%d cut=%d: resume executed everything from scratch", cut.jobs, cut.after)
+		}
+		if out != ref {
+			t.Fatalf("jobs=%d cut=%d: resumed output differs from uninterrupted run", cut.jobs, cut.after)
+		}
+		sameArtifacts(t, "memoized resume", readArtifacts(t, outDir), refArts)
+	}
+}
+
+// TestCancelMemoizedExperimentLeavesMemoClean cancels fig4 mid-sweep
+// while ab-align, which shares fig4's "fixed" runs through the memo,
+// runs beside it, so ab-align's cells can be waiting on a key whose
+// computing run is canceled. ab-align must finish byte-identical to
+// its reference, and a rerun of fig4 over the memo both canceled runs
+// left behind must match fig4's uninterrupted output, served partly
+// from entries the canceled sweep completed.
+func TestCancelMemoizedExperimentLeavesMemoClean(t *testing.T) {
+	resetMemos()
+	refFig4 := runText(t, "fig4", Options{Quick: true, Seed: 42, Jobs: 2})
+	resetMemos()
+	refAlign := runText(t, "ab-align", Options{Quick: true, Seed: 42, Jobs: 2})
+
+	resetMemos()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	alignDone := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		err := Run("ab-align", Options{Out: &buf, Quick: true, Seed: 42, Jobs: 2})
+		if err != nil {
+			buf.WriteString("error: " + err.Error())
+		}
+		alignDone <- buf.String()
+	}()
+	err := Run("fig4", Options{
+		Out: io.Discard, Quick: true, Seed: 42, Jobs: 2,
+		Ctx: ctx, Progress: &cancelAfter{cancel: cancel, after: 5},
+	})
+	if err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled fig4: err = %v, want context.Canceled", err)
+	}
+	if got := <-alignDone; got != refAlign {
+		t.Fatal("ab-align beside a canceled fig4 differs from its reference")
+	}
+
+	before := RunMemoStats()
+	if got := runText(t, "fig4", Options{Quick: true, Seed: 42, Jobs: 2}); got != refFig4 {
+		t.Fatal("fig4 rerun after a canceled sweep differs from its reference")
+	}
+	if hits := RunMemoStats().Hits - before.Hits; hits == 0 {
+		t.Fatal("the rerun was served no run the canceled sweep or ab-align completed")
+	}
+}

@@ -263,3 +263,28 @@ func TestPoliciesWellFormed(t *testing.T) {
 		t.Fatal("fleet package does not register the backends it names")
 	}
 }
+
+// BenchmarkRunNode times one fleet node at the fleet experiments' full
+// shape (scale 4, 4 epochs of 2000 ops, hysteresis policy) per
+// backend: install, the zipf op loop, the epoch-boundary page moves
+// and capacity pricing. The first node of each backend, outside the
+// timer, warms the image's size table as the fleet's repeated images
+// do.
+func BenchmarkRunNode(b *testing.B) {
+	pol, err := PolicyByName("hysteresis")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Policy: pol, Epochs: 4, OpsPerEpoch: 2000, FootprintScale: 4}
+	for _, backend := range []string{"compresso", "cram", "uncompressed"} {
+		b.Run(backend, func(b *testing.B) {
+			spec := NodeSpec{ID: 0, Bench: "mcf", Backend: backend, Weight: 1, Seed: 42}
+			runNode(spec, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runNode(spec, cfg)
+			}
+		})
+	}
+}

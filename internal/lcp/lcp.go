@@ -209,12 +209,18 @@ func (c *Controller) compressCode(data []byte) uint8 {
 	return uint8(c.cfg.Bins.Code(n))
 }
 
-// compressCodeAt is compressCode for data that is the source's live
-// content at lineAddr (demand writebacks, InstallPage): when the
-// source exposes a memoized size path, sizing skips the compressor.
+// compressCodeAt returns the bin code of the source's live content at
+// lineAddr: through the memoized size path when the source has one
+// (sizing skips the compressor), else by sizing data, read from the
+// source when nil (a demand writeback passes its data, which is that
+// live content).
 func (c *Controller) compressCodeAt(lineAddr uint64, data []byte) uint8 {
 	if c.sizer != nil {
 		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, lineAddr)))
+	}
+	if data == nil {
+		c.source.ReadLine(lineAddr, c.lineBuf[:])
+		data = c.lineBuf[:]
 	}
 	return c.compressCode(data)
 }
@@ -646,12 +652,10 @@ func (c *Controller) pageFaultOverflow(now uint64, p *lcpPage, page uint64, line
 	return now + c.cfg.PageFaultPenalty
 }
 
-// InstallPage implements memctl.Controller.
-func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+// InstallPage implements memctl.Controller, laying the page out from
+// its lines' sizes alone.
+func (c *Controller) InstallPage(page uint64) {
 	c.checkPage(page)
-	if len(lines) != metadata.LinesPerPage {
-		panic(fmt.Sprintf("lcp: InstallPage with %d lines", len(lines)))
-	}
 	p := &c.pages[page]
 	if p.valid {
 		panic(fmt.Sprintf("lcp: InstallPage of already-valid page %d", page))
@@ -659,8 +663,8 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
 	allZero := true
-	for i, ln := range lines {
-		code := c.compressCodeAt(page*metadata.LinesPerPage+uint64(i), ln)
+	for i := range p.actual {
+		code := c.compressCodeAt(page*metadata.LinesPerPage+uint64(i), nil)
 		p.actual[i] = code
 		if code != 0 {
 			allZero = false

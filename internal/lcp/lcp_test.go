@@ -57,7 +57,7 @@ func installPage(c *Controller, im *image, page uint64, lines [][]byte) {
 	for i, l := range lines {
 		im.set(page*metadata.LinesPerPage+uint64(i), l)
 	}
-	c.InstallPage(page, lines)
+	c.InstallPage(page)
 }
 
 func TestNames(t *testing.T) {

@@ -41,8 +41,10 @@ type LineSource interface {
 // just obtained from (or are about to hand to) the source — i.e. only
 // where the data being sized is the source's live content, which is
 // the simulator's contract for demand writebacks and InstallPage.
-// Controllers must fall back to sizing the data directly when the
-// source does not implement LineSizer.
+// That gives every backend one sizing rule: size a line through
+// SizeLine when the source implements LineSizer, else size the
+// writeback's data (or, at install, the line ReadLine returns) with
+// compress.SizeOnly.
 type LineSizer interface {
 	SizeLine(codec compress.Codec, lineAddr uint64) int
 }
@@ -173,13 +175,13 @@ type Controller interface {
 	// 64-byte value.
 	WriteLine(now uint64, lineAddr uint64, data []byte) Result
 
-	// InstallPage pre-populates an OSPA page with its initial lines at
-	// simulation setup, with no stat or timing charges (the paper's
-	// fast-forward to a CompressPoint). Implementations must not retain
-	// lines or its element slices past the call: callers may reuse the
-	// same scratch view for every page, and the elements alias live
-	// image memory.
-	InstallPage(page uint64, lines [][]byte)
+	// InstallPage pre-populates an OSPA page at simulation setup with
+	// the source's current lines, with no stat or timing charges (the
+	// paper's fast-forward to a CompressPoint). The controller reads
+	// what its layout needs from its own LineSource: a sizing backend
+	// sizes each line under the LineSizer rule, so installing from a
+	// warm size memo reads no line bytes at all.
+	InstallPage(page uint64)
 
 	// Stats returns the access accounting so far.
 	Stats() Stats
@@ -259,8 +261,9 @@ func (u *Uncompressed) WriteLine(now uint64, lineAddr uint64, data []byte) Resul
 	return Result{Done: now}
 }
 
-// InstallPage implements Controller.
-func (u *Uncompressed) InstallPage(page uint64, lines [][]byte) {
+// InstallPage implements Controller: the baseline stores pages
+// verbatim, so it reads nothing.
+func (u *Uncompressed) InstallPage(page uint64) {
 	u.installed += PageSize
 }
 

@@ -28,8 +28,8 @@ func TestUncompressedOneAccessPerOp(t *testing.T) {
 
 func TestUncompressedRatioIsOne(t *testing.T) {
 	u := NewUncompressed(dram.New(dram.DDR4_2666()))
-	u.InstallPage(0, nil)
-	u.InstallPage(1, nil)
+	u.InstallPage(0)
+	u.InstallPage(1)
 	if r := CompressionRatio(u); r != 1 {
 		t.Fatalf("ratio %v", r)
 	}

@@ -116,17 +116,28 @@ func (r *Rand) Perm(n int) []int {
 
 // ZipfGen draws from a bounded Zipf distribution over [0, n) with
 // exponent theta > 0. Larger theta skews harder toward 0. Sampling is
-// inverse-CDF over a precomputed harmonic table (O(log n) per draw).
+// inverse-CDF over a precomputed harmonic table: a guide table maps a
+// draw's bucket k = int(u*n) to the CDF slice that can hold its
+// answer, so a draw binary-searches only that slice (O(1) expected).
 type ZipfGen struct {
 	cdf []float64
-	r   *Rand
+	// guide[k] is the number of CDF entries whose bucket is below k.
+	// Every u in bucket k has its answer in [guide[k], guide[k+1]]:
+	// the bucket map is monotone, so an entry in a lower bucket is
+	// below u and one in a higher bucket is above it.
+	guide []int32
+	nf    float64
+	r     *Rand
 }
 
 // NewZipf builds a Zipf sampler over [0, n) with the given exponent.
-// It panics if n <= 0 or theta <= 0.
+// It panics if n <= 0 or theta <= 0, or if n does not fit an int32.
 func NewZipf(r *Rand, n int, theta float64) *ZipfGen {
 	if n <= 0 || theta <= 0 {
 		panic("rng: NewZipf with non-positive n or theta")
+	}
+	if n > math.MaxInt32 {
+		panic("rng: NewZipf over more than MaxInt32 values")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -137,13 +148,29 @@ func NewZipf(r *Rand, n int, theta float64) *ZipfGen {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &ZipfGen{cdf: cdf, r: r}
+	z := &ZipfGen{cdf: cdf, guide: make([]int32, n+1), nf: float64(n), r: r}
+	i := 0
+	for k := range z.guide {
+		for i < n && z.bucket(cdf[i]) < k {
+			i++
+		}
+		z.guide[k] = int32(i)
+	}
+	return z
 }
 
+// bucket is the guide table's monotone bucket map, shared by the build
+// and the draw so both round u*n the same way.
+func (z *ZipfGen) bucket(u float64) int { return int(u * z.nf) }
+
 // Next draws the next Zipf-distributed value in [0, len).
-func (z *ZipfGen) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *ZipfGen) Next() int { return z.index(z.r.Float64()) }
+
+// index returns the smallest index whose CDF entry is at least u, for
+// u in [0, 1).
+func (z *ZipfGen) index(u float64) int {
+	k := min(z.bucket(u), len(z.cdf)-1)
+	lo, hi := int(z.guide[k]), int(z.guide[k+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

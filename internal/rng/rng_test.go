@@ -155,6 +155,56 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// refZipfIndex is the plain inverse-CDF binary search over the whole
+// table, the draw the guide table must reproduce for every u.
+func refZipfIndex(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBinarySearch pins the guide-table draw to the
+// whole-table binary search: on a million random draws per size and at
+// every CDF entry and its float neighbours, where a bucket boundary
+// that rounds the wrong way would show.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	thetas := []float64{0.05, 0.5, 0.99, 2.5}
+	const drawsPerSize = 1_000_000
+	for _, n := range []int{1, 2, 3, 312, 10007} {
+		for _, theta := range thetas {
+			z := NewZipf(New(uint64(n)), n, theta)
+			ref := NewZipf(New(uint64(n)), n, theta)
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := z.index(u), refZipfIndex(z.cdf, u); got != want {
+					t.Fatalf("n=%d theta=%v u=%v: guide draw %d, binary search %d", n, theta, u, got, want)
+				}
+			}
+			for i := 0; i < drawsPerSize/len(thetas); i++ {
+				if got, u := z.Next(), ref.r.Float64(); got != refZipfIndex(ref.cdf, u) {
+					t.Fatalf("n=%d theta=%v draw %d: %d, binary search %d", n, theta, i, got, refZipfIndex(ref.cdf, u))
+				}
+			}
+			check(0)
+			check(math.Nextafter(1, 0))
+			for _, c := range z.cdf {
+				check(math.Nextafter(c, 0))
+				check(c)
+				check(math.Nextafter(c, 2))
+			}
+		}
+	}
+}
+
 func TestZipfPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -7,6 +7,7 @@ package sim
 // restores consistency after the oracle is mutated behind their back.
 
 import (
+	"reflect"
 	"testing"
 
 	"compresso/internal/audit"
@@ -80,7 +81,7 @@ func installOracle(ctl memctl.Controller, im *oracleImage, page uint64, lines []
 	for i, l := range lines {
 		im.set(page*metadata.LinesPerPage+uint64(i), l)
 	}
-	ctl.InstallPage(page, lines)
+	ctl.InstallPage(page)
 }
 
 // backendModTypes holds, per registered backend, a typed-nil value of
@@ -249,6 +250,88 @@ func TestBackendConformance(t *testing.T) {
 			}
 			if got := ctl.CompressedBytes(); got != before {
 				t.Fatalf("ResetStats changed CompressedBytes: %d -> %d", before, got)
+			}
+		})
+	}
+}
+
+// plainSource hides an image's LineSizer: a controller over it sizes
+// every line from the bytes ReadLine returns.
+type plainSource struct{ img *workload.Image }
+
+func (s plainSource) ReadLine(addr uint64, buf []byte) { s.img.ReadLine(addr, buf) }
+
+// TestBackendConformanceLineSizer pins the one sizing rule (DESIGN.md
+// §12): every registered backend, installed from a workload image (a
+// memctl.LineSizer) and from the same image behind a plain LineSource,
+// ends a fixed trace-driven read/write program with the same stored
+// bytes, page-size histogram, Stats, backend metrics and access
+// completion cycles.
+func TestBackendConformanceLineSizer(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof = workload.Scale(prof, 64)
+	const ops = 6000
+	for _, b := range memctl.Backends() {
+		t.Run(b.Name, func(t *testing.T) {
+			type outcome struct {
+				stats      memctl.Stats
+				compressed int64
+				pageSizes  obs.HistSnapshot
+				metrics    obs.Snapshot
+				doneSum    uint64 // every access's completion cycle, summed
+			}
+			run := func(sized bool) outcome {
+				tr := workload.NewTrace(prof, 5, ops)
+				img := tr.Image()
+				var src memctl.LineSource = plainSource{img}
+				if sized {
+					src = img
+				}
+				pages := img.FootprintPages()
+				ctl := b.New(memctl.BuildParams{
+					OSPAPages:      pages,
+					MachineBytes:   b.MachineBytes(pages),
+					FootprintScale: 64,
+					Mem:            dram.New(dram.DDR4_2666()),
+					Source:         src,
+					Injector:       faults.New(faults.Config{}),
+				})
+				img.InstallInto(ctl)
+				var op workload.Op
+				var doneSum uint64
+				buf := make([]byte, memctl.LineBytes)
+				for i, now := 0, uint64(0); i < ops; i, now = i+1, now+40 {
+					tr.Next(&op)
+					if op.Write {
+						img.ReadLine(op.LineAddr, buf)
+						doneSum += ctl.WriteLine(now, op.LineAddr, buf).Done
+					} else {
+						doneSum += ctl.ReadLine(now, op.LineAddr).Done
+					}
+				}
+				return outcome{ctl.Stats(), ctl.CompressedBytes(), pageSizes(ctl), backendMetrics(ctl), doneSum}
+			}
+			sized, plain := run(true), run(false)
+			if sized.stats != plain.stats {
+				t.Fatalf("Stats differ:\nsized %+v\nplain %+v", sized.stats, plain.stats)
+			}
+			if sized.compressed != plain.compressed {
+				t.Fatalf("CompressedBytes: sized %d, plain %d", sized.compressed, plain.compressed)
+			}
+			if !reflect.DeepEqual(sized.pageSizes, plain.pageSizes) {
+				t.Fatalf("page-size histograms differ:\nsized %+v\nplain %+v", sized.pageSizes, plain.pageSizes)
+			}
+			if !reflect.DeepEqual(sized.metrics, plain.metrics) {
+				t.Fatalf("backend metrics differ:\nsized %+v\nplain %+v", sized.metrics, plain.metrics)
+			}
+			if sized.doneSum != plain.doneSum {
+				t.Fatalf("access completion cycles differ: sized %d, plain %d", sized.doneSum, plain.doneSum)
+			}
+			if sized.stats.DemandWrites == 0 {
+				t.Fatal("the program issued no writebacks")
 			}
 		})
 	}

@@ -192,11 +192,12 @@ type canceledError struct{ err error }
 func (e canceledError) Error() string { return "sim: run canceled: " + e.err.Error() }
 func (e canceledError) Unwrap() error { return e.err }
 
-// checkCancel aborts the run when cfg.Cancel has fired (called with
-// the loop's op counter to amortize the context poll).
-func checkCancel(cfg Config, ops uint64) {
-	if cfg.Cancel != nil && ops%cancelCheckPeriod == 0 {
-		if err := cfg.Cancel.Err(); err != nil {
+// checkCancel aborts the run when the run's Config.Cancel context has
+// fired (called with the loop's op counter to amortize the context
+// poll).
+func checkCancel(cancel context.Context, ops uint64) {
+	if cancel != nil && ops%cancelCheckPeriod == 0 {
+		if err := cancel.Err(); err != nil {
 			panic(canceledError{err: err})
 		}
 	}
@@ -865,7 +866,7 @@ func runCores(mixName string, profs []workload.Profile, cfg Config) (MultiResult
 		if sel == -1 {
 			break
 		}
-		checkCancel(cfg, steps)
+		checkCancel(cfg.Cancel, steps)
 		traces[sel].Next(&op)
 		op.LineAddr += base[sel] * memctl.LinesPerPage
 		cores[sel].Step(&op)

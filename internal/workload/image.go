@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"compresso/internal/compress"
 	"compresso/internal/datagen"
@@ -181,11 +182,16 @@ func (im *Image) Page(page uint64) datagen.Page {
 	return p
 }
 
+// pagesGenerated counts every page generation in the process, so
+// tests can pin which paths build page bytes.
+var pagesGenerated atomic.Int64
+
 // generateInto builds a page's content from scratch into the flat
 // backing. Pure in its inputs: depends only on the image's immutable
 // parameters and the page number, so concurrent generation of distinct
 // pages is race-free and deterministic.
 func (im *Image) generateInto(page uint64) {
+	pagesGenerated.Add(1)
 	// Mix the profile name into the per-page stream so that different
 	// benchmarks sharing a numeric seed draw independent page kinds
 	// (one shared stream would correlate their sampling error).
@@ -427,27 +433,12 @@ func (im *Image) InstallInto(ctl memctl.Controller) {
 }
 
 // InstallIntoAt installs the whole image into ctl with its pages offset
-// by basePage (the multi-core OSPA layout). The lines slice handed to
-// InstallPage is a per-call scratch view over the live image; the
-// Controller contract forbids retaining it, so no per-page view arrays
-// are allocated.
+// by basePage (the multi-core OSPA layout). Each controller reads what
+// its layout needs from its own source, which must serve this image's
+// page p at OSPA page basePage+p; installing a pristine image whose
+// size table is warm therefore generates no page bytes.
 func (im *Image) InstallIntoAt(ctl memctl.Controller, basePage uint64) {
-	var scratch [datagen.LinesPerPage][]byte
 	for p := uint64(0); p < uint64(im.prof.FootprintPages); p++ {
-		if im.lastStore != nil {
-			// Replay overlay: resolve each line through the store
-			// overlay (a fresh overlay is pristine, but stay correct if
-			// installation ever follows stores).
-			base := p * memctl.LinesPerPage
-			for j := range scratch {
-				scratch[j] = im.Line(base + uint64(j))
-			}
-		} else {
-			b := im.pageBytes(p)
-			for j := range scratch {
-				scratch[j] = b[j*compress.LineSize : (j+1)*compress.LineSize : (j+1)*compress.LineSize]
-			}
-		}
-		ctl.InstallPage(basePage+p, scratch[:])
+		ctl.InstallPage(basePage + p)
 	}
 }

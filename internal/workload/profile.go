@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"compresso/internal/compress"
 	"compresso/internal/datagen"
@@ -209,9 +210,17 @@ func (p *Profile) PageMix() datagen.Mix {
 	return out
 }
 
+// binnedSizes memoizes measureBinnedSize per mix. Profiles draw their
+// mixes from the few flavors, so the map stays that small.
+var binnedSizes sync.Map // datagen.Mix -> float64
+
 // measureBinnedSize samples the mean binned BPC size of a mix.
-// Deterministic: a fixed internal seed.
+// Deterministic: a fixed internal seed, so it is computed once per mix
+// per process.
 func measureBinnedSize(m datagen.Mix) float64 {
+	if b, ok := binnedSizes.Load(m); ok {
+		return b.(float64)
+	}
 	r := rng.New(0xCA11B8A7E)
 	codec := compress.BPC{}
 	const n = 400
@@ -221,5 +230,7 @@ func measureBinnedSize(m datagen.Mix) float64 {
 		datagen.FillLine(r, m.Pick(r), line[:])
 		total += compress.LegacyBins.Fit(compress.SizeOnly(codec, line[:]))
 	}
-	return float64(total) / n
+	b := float64(total) / n
+	binnedSizes.Store(m, b)
+	return b
 }

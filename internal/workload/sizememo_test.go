@@ -248,3 +248,42 @@ func TestStoresStayPrivate(t *testing.T) {
 		checkMemoOracle(t, "fresh image after stores through a "+role+" image", NewImage(p, seed), codec)
 	}
 }
+
+// TestReplayOverlaySizesOtherCodecs pins that a replay overlay serves
+// its shared store-size slots only under the codec they hold: a
+// stored-to line sized under another codec is sized from its content,
+// and never writes that size into a slot other replays read. Both
+// orders are driven (slot codec first, other codec first).
+func TestReplayOverlaySizesOtherCodecs(t *testing.T) {
+	p, err := ByName("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = Scale(p, 64)
+	const ops = 6000
+	seed := freshSeed()
+	master := NewImage(p, seed)
+	master.SizeAll(compress.BPC{}, 1)
+	lg := RecordTrace(master.Clone(), p, seed, ops, compress.BPC{})
+	rp := lg.ReplayOver(master)
+	img := rp.Image()
+	codecs := []compress.Codec{compress.BPC{}, compress.BDI{}}
+	var op Op
+	stores := 0
+	for i := 0; i < ops; i++ {
+		rp.Next(&op)
+		if !op.Write {
+			continue
+		}
+		stores++
+		for j := range codecs {
+			codec := codecs[(j+stores)%len(codecs)]
+			if got, want := img.SizeLine(codec, op.LineAddr), compress.SizeOnly(codec, img.Line(op.LineAddr)); got != want {
+				t.Fatalf("store %d, line %d: %s SizeLine %d, content sizes to %d", stores, op.LineAddr, codec.Name(), got, want)
+			}
+		}
+	}
+	if stores == 0 {
+		t.Fatal("the recorded trace has no stores")
+	}
+}

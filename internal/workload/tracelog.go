@@ -109,9 +109,10 @@ func (t *TraceReplay) Next(op *Op) {
 
 // sharedStoreSize resolves a line's compressed size through the log's
 // shared slots when the line's current content is a recorded store
-// value. Returns (0, false) when no shared slot applies.
+// value. Returns (0, false) when no shared slot applies, which
+// includes sizing under any codec but the one the slots hold.
 func (im *Image) sharedStoreSize(codec compress.Codec, lineAddr uint64) (int, bool) {
-	if im.share == nil || im.share.sizeCodec != im.sizeCodec {
+	if im.share == nil || im.share.sizeCodec != im.sizeCodec || codec.Name() != im.sizeCodec {
 		return 0, false
 	}
 	k := im.lastStore[lineAddr]

@@ -348,11 +348,11 @@ func (c *countingController) ReadLine(now uint64, a uint64) memctl.Result {
 func (c *countingController) WriteLine(now uint64, a uint64, d []byte) memctl.Result {
 	return memctl.Result{}
 }
-func (c *countingController) InstallPage(p uint64, lines [][]byte) { c.pages++ }
-func (c *countingController) ResetStats()                          {}
-func (c *countingController) Stats() memctl.Stats                  { return memctl.Stats{} }
-func (c *countingController) CompressedBytes() int64               { return 0 }
-func (c *countingController) InstalledBytes() int64                { return 0 }
+func (c *countingController) InstallPage(p uint64)   { c.pages++ }
+func (c *countingController) ResetStats()            {}
+func (c *countingController) Stats() memctl.Stats    { return memctl.Stats{} }
+func (c *countingController) CompressedBytes() int64 { return 0 }
+func (c *countingController) InstalledBytes() int64  { return 0 }
 
 // TestSizeAllJobsIdentity pins the Materialize and SizeAll fan-outs:
 // on an image a trace has partly generated, stored to and sized, the
