@@ -49,14 +49,15 @@ bench-quick:
 # Covers the codecs, the BPC plane builder, LZSizeBlock on DMC-shaped
 # 1 KB blocks, Image.SizeAll, cold vs warm image binds (the pristine
 # size tables), warm image installs per backend, cache.Access,
-# dram.Access, cpu.Step, Trace.Next, zipf draws, the pager's LRU touch
-# and one fleet node. Run with a real -benchtime for ns/op numbers.
+# dram.Access, cpu.Step, Trace.Next, zipf draws, the pager's LRU touch,
+# each backend's ReadLine and nil-data WriteLine, and one fleet node.
+# Run with a real -benchtime for ns/op numbers.
 bench-kernels:
 	$(GO) test -run '^$$' \
-		-bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader|ImageBind|ImageInstall|CacheAccess|DRAMAccess|CoreStep|TraceNext|Zipf|PagerTouch|RunNode' \
+		-bench 'Compress|SizeOnly|SizeBlock|SizeAll|Planes|Writer|Reader|ImageBind|ImageInstall|CacheAccess|DRAMAccess|CoreStep|TraceNext|Zipf|PagerTouch|BackendReadLine|BackendWriteLine|RunNode' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/ \
 		./internal/workload/ ./internal/cache/ ./internal/dram/ ./internal/cpu/ \
-		./internal/rng/ ./internal/oskernel/ ./internal/fleet/
+		./internal/rng/ ./internal/oskernel/ ./internal/sim/ ./internal/fleet/
 
 # Single-run hot-loop benchmark: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial

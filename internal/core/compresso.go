@@ -271,8 +271,8 @@ func (c *Controller) compressCode(data []byte) uint8 {
 // compressCodeAt returns the bin code of the source's live content at
 // lineAddr: through the memoized size path when the source has one
 // (sizing skips the compressor), else by sizing data, read from the
-// source when nil (a demand writeback passes its data, which is that
-// live content).
+// source when nil (install and nil-data writebacks; a writeback with
+// data passes that live content).
 func (c *Controller) compressCodeAt(lineAddr uint64, data []byte) uint8 {
 	if c.sizer != nil {
 		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, lineAddr)))
@@ -648,9 +648,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.Result {
 	page, line := lineAddr/metadata.LinesPerPage, int(lineAddr%metadata.LinesPerPage)
 	c.checkPage(page)
-	if len(data) != memctl.LineBytes {
-		panic(fmt.Sprintf("core: WriteLine with %d bytes", len(data)))
-	}
+	memctl.CheckWriteData("core", data)
 	c.pin(page)
 	defer c.unpin()
 	c.tnow = now

@@ -284,6 +284,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 // compressor and DRAM are off the critical path.
 func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.Result {
 	c.checkAddr(lineAddr)
+	memctl.CheckWriteData("cram", data)
 	c.stats.DemandWrites++
 	// Writes are posted: everything below is off the critical path.
 	c.attr.Begin(now, lineAddr/memctl.LinesPerPage, true)

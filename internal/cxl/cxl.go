@@ -259,6 +259,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 // compressor, link and expander DRAM are off the critical path.
 func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.Result {
 	c.checkAddr(lineAddr)
+	memctl.CheckWriteData("cxl", data)
 	c.stats.DemandWrites++
 	page := lineAddr / memctl.LinesPerPage
 	// Writes are posted: everything below is off the critical path.

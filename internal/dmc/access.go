@@ -282,9 +282,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.Result {
 	page, line := lineAddr/metadata.LinesPerPage, int(lineAddr%metadata.LinesPerPage)
 	c.checkPage(page)
-	if len(data) != memctl.LineBytes {
-		panic(fmt.Sprintf("dmc: WriteLine with %d bytes", len(data)))
-	}
+	memctl.CheckWriteData("dmc", data)
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
 	c.stats.DemandWrites++
@@ -300,6 +298,12 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		p.zero = true
 		c.validPages++
 		l.Dirty = true
+	}
+	if data == nil {
+		// DMC sizes writebacks from their bytes (its LZ block pricing
+		// reads bytes anyway), so a nil writeback reads the source.
+		c.source.ReadLine(lineAddr, c.lineBuf[:])
+		data = c.lineBuf[:]
 	}
 	newCode := c.compressCode(data)
 	if p.zero {

@@ -265,6 +265,12 @@ type pageState struct {
 // OpsPerEpoch) zipf-distributed accesses with the policy applied at
 // every epoch boundary. Config is pre-validated, so lookups cannot
 // fail here.
+//
+// A node's image never changes, so every cold write and demotion
+// writes back the image's own content: the node passes nil data, and
+// a sizing backend lays the writeback out from the image's size table.
+// A node whose image key is warm therefore reads sizes, never page
+// bytes (DESIGN.md §15).
 func runNode(spec NodeSpec, cfg Config) NodeResult {
 	prof, err := workload.ByName(spec.Bench)
 	if err != nil {
@@ -316,7 +322,6 @@ func runNode(spec NodeSpec, cfg Config) NodeResult {
 	}
 	var now uint64
 	ops := uint64(float64(cfg.OpsPerEpoch) * spec.Weight)
-	scratch := make([]byte, memctl.LineBytes)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for op := uint64(0); op < ops; op++ {
 			page := perm[z.Next()]
@@ -334,8 +339,7 @@ func runNode(spec NodeSpec, cfg Config) NodeResult {
 			}
 			if write {
 				res.ColdWrites++
-				img.ReadLine(line, scratch)
-				ctl.WriteLine(now, line, scratch)
+				ctl.WriteLine(now, line, nil)
 			} else {
 				res.ColdReads++
 				done := ctl.ReadLine(now, line).Done
@@ -344,7 +348,7 @@ func runNode(spec NodeSpec, cfg Config) NodeResult {
 				}
 			}
 		}
-		hotPages = applyPolicy(pol, state, ctl, img, scratch, &now, hotPages, hotBudget, &res)
+		hotPages = applyPolicy(pol, state, ctl, &now, hotPages, hotBudget, &res)
 	}
 	res.HotPages = hotPages
 	res.Cycles = now
@@ -369,8 +373,7 @@ func runNode(spec NodeSpec, cfg Config) NodeResult {
 // budget), then promotions, both in page-index order so the walk is
 // deterministic, both bounded by the epoch move cap. Returns the new
 // hot population.
-func applyPolicy(pol Policy, state []pageState, ctl memctl.Controller,
-	img *workload.Image, scratch []byte, now *uint64,
+func applyPolicy(pol Policy, state []pageState, ctl memctl.Controller, now *uint64,
 	hotPages, hotBudget int, res *NodeResult) int {
 
 	moveCap := int(pol.MaxMoveFrac * float64(len(state)))
@@ -386,7 +389,7 @@ func applyPolicy(pol Policy, state []pageState, ctl memctl.Controller,
 		}
 		st.idle++
 		if int(st.idle) >= pol.DemoteIdleEpochs && moves < moveCap {
-			movePage(ctl, img, scratch, now, uint64(page), true)
+			movePage(ctl, now, uint64(page), true)
 			st.hot = false
 			st.idle = 0
 			hotPages--
@@ -403,7 +406,7 @@ func applyPolicy(pol Policy, state []pageState, ctl memctl.Controller,
 		if hotPages >= hotBudget || moves >= moveCap {
 			break
 		}
-		movePage(ctl, img, scratch, now, uint64(page), false)
+		movePage(ctl, now, uint64(page), false)
 		st.hot = true
 		st.idle = 0
 		hotPages++
@@ -420,13 +423,11 @@ func applyPolicy(pol Policy, state []pageState, ctl memctl.Controller,
 // movePage charges one page's tier move through the controller: a
 // demotion writes the page's lines back into the compressed tier
 // (recompression and layout work), a promotion reads them out of it.
-func movePage(ctl memctl.Controller, img *workload.Image, scratch []byte,
-	now *uint64, page uint64, demote bool) {
+func movePage(ctl memctl.Controller, now *uint64, page uint64, demote bool) {
 	base := page * memctl.LinesPerPage
 	for l := uint64(0); l < memctl.LinesPerPage; l++ {
 		if demote {
-			img.ReadLine(base+l, scratch)
-			ctl.WriteLine(*now, base+l, scratch)
+			ctl.WriteLine(*now, base+l, nil)
 			*now += opGap
 		} else {
 			done := ctl.ReadLine(*now, base+l).Done

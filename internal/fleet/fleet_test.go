@@ -276,7 +276,7 @@ func BenchmarkRunNode(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Policy: pol, Epochs: 4, OpsPerEpoch: 2000, FootprintScale: 4}
-	for _, backend := range []string{"compresso", "cram", "uncompressed"} {
+	for _, backend := range []string{"compresso", "lcp", "cram", "cxl", "uncompressed"} {
 		b.Run(backend, func(b *testing.B) {
 			spec := NodeSpec{ID: 0, Bench: "mcf", Backend: backend, Weight: 1, Seed: 42}
 			runNode(spec, cfg)

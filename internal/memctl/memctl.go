@@ -29,7 +29,8 @@ const LinesPerPage = PageSize / LineBytes
 // LineSource supplies the current value of any OSPA line. The
 // simulator's workload image implements it; controllers use it where
 // real hardware would use the data that arrives with a writeback or
-// already resides in memory (page moves, repacking).
+// already resides in memory (page moves, repacking), and where a
+// writeback arrives without data (WriteLine with nil data).
 type LineSource interface {
 	// ReadLine copies the 64-byte value of the OSPA line into buf.
 	ReadLine(lineAddr uint64, buf []byte)
@@ -43,8 +44,9 @@ type LineSource interface {
 // the simulator's contract for demand writebacks and InstallPage.
 // That gives every backend one sizing rule: size a line through
 // SizeLine when the source implements LineSizer, else size the
-// writeback's data (or, at install, the line ReadLine returns) with
-// compress.SizeOnly.
+// writeback's data (or, at install and for a nil-data writeback, the
+// line ReadLine returns) with compress.SizeOnly. A sizing backend over
+// a LineSizer therefore never reads line bytes to lay out a writeback.
 type LineSizer interface {
 	SizeLine(codec compress.Codec, lineAddr uint64) int
 }
@@ -171,8 +173,12 @@ type Controller interface {
 	// (line units) issued at core cycle now.
 	ReadLine(now uint64, lineAddr uint64) Result
 
-	// WriteLine serves a dirty LLC writeback carrying the line's new
-	// 64-byte value.
+	// WriteLine serves a dirty LLC writeback of the line's new value.
+	// The source already holds that value, so data is either exactly
+	// the source's 64 live bytes or nil, which means "read it from the
+	// source if you need it": a sizing backend sizes the line under the
+	// LineSizer rule either way, so a nil writeback over a LineSizer
+	// reads no line bytes. Non-nil data of any other length panics.
 	WriteLine(now uint64, lineAddr uint64, data []byte) Result
 
 	// InstallPage pre-populates an OSPA page at simulation setup with
@@ -196,6 +202,14 @@ type Controller interface {
 
 	// InstalledBytes returns the OSPA bytes installed (footprint).
 	InstalledBytes() int64
+}
+
+// CheckWriteData enforces WriteLine's data contract for the named
+// backend: data is nil or exactly one line.
+func CheckWriteData(backend string, data []byte) {
+	if data != nil && len(data) != LineBytes {
+		panic(fmt.Sprintf("%s: WriteLine with %d bytes", backend, len(data)))
+	}
 }
 
 // CompressionRatio returns footprint / compressed storage for c,
@@ -248,8 +262,10 @@ func (u *Uncompressed) ReadLine(now uint64, lineAddr uint64) Result {
 	return Result{Done: done}
 }
 
-// WriteLine implements Controller.
+// WriteLine implements Controller: the baseline stores the line
+// verbatim, so it never reads data.
 func (u *Uncompressed) WriteLine(now uint64, lineAddr uint64, data []byte) Result {
+	CheckWriteData("uncompressed", data)
 	u.stats.DemandWrites++
 	u.stats.DataWrites++
 	u.attr.Begin(now, lineAddr/(PageSize/LineBytes), true)

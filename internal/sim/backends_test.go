@@ -261,6 +261,88 @@ type plainSource struct{ img *workload.Image }
 
 func (s plainSource) ReadLine(addr uint64, buf []byte) { s.img.ReadLine(addr, buf) }
 
+// traceOutcome is what a backend ends a trace-driven program with.
+type traceOutcome struct {
+	stats      memctl.Stats
+	compressed int64
+	pageSizes  obs.HistSnapshot
+	metrics    obs.Snapshot
+	doneSum    uint64 // every access's completion cycle, summed
+}
+
+// runTraceProgram installs a scale-64 gcc image into backend b and
+// drives a fixed trace-driven read/write program through it. sized
+// hands the controller the image itself (a memctl.LineSizer), else the
+// image behind a plain LineSource; nilData writes back nil instead of
+// the line's bytes.
+func runTraceProgram(t *testing.T, b memctl.Backend, sized, nilData bool) traceOutcome {
+	t.Helper()
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof = workload.Scale(prof, 64)
+	const ops = 6000
+	tr := workload.NewTrace(prof, 5, ops)
+	img := tr.Image()
+	var src memctl.LineSource = plainSource{img}
+	if sized {
+		src = img
+	}
+	pages := img.FootprintPages()
+	ctl := b.New(memctl.BuildParams{
+		OSPAPages:      pages,
+		MachineBytes:   b.MachineBytes(pages),
+		FootprintScale: 64,
+		Mem:            dram.New(dram.DDR4_2666()),
+		Source:         src,
+		Injector:       faults.New(faults.Config{}),
+	})
+	img.InstallInto(ctl)
+	var op workload.Op
+	var doneSum, writes uint64
+	buf := make([]byte, memctl.LineBytes)
+	for i, now := 0, uint64(0); i < ops; i, now = i+1, now+40 {
+		tr.Next(&op)
+		if op.Write {
+			var data []byte
+			if !nilData {
+				img.ReadLine(op.LineAddr, buf)
+				data = buf
+			}
+			doneSum += ctl.WriteLine(now, op.LineAddr, data).Done
+			writes++
+		} else {
+			doneSum += ctl.ReadLine(now, op.LineAddr).Done
+		}
+	}
+	if writes == 0 {
+		t.Fatal("the program issued no writebacks")
+	}
+	return traceOutcome{ctl.Stats(), ctl.CompressedBytes(), pageSizes(ctl), backendMetrics(ctl), doneSum}
+}
+
+// sameOutcome fails t unless a and b (named by what produced them)
+// match in every observable.
+func sameOutcome(t *testing.T, aName string, a traceOutcome, bName string, b traceOutcome) {
+	t.Helper()
+	if a.stats != b.stats {
+		t.Fatalf("Stats differ:\n%s %+v\n%s %+v", aName, a.stats, bName, b.stats)
+	}
+	if a.compressed != b.compressed {
+		t.Fatalf("CompressedBytes: %s %d, %s %d", aName, a.compressed, bName, b.compressed)
+	}
+	if !reflect.DeepEqual(a.pageSizes, b.pageSizes) {
+		t.Fatalf("page-size histograms differ:\n%s %+v\n%s %+v", aName, a.pageSizes, bName, b.pageSizes)
+	}
+	if !reflect.DeepEqual(a.metrics, b.metrics) {
+		t.Fatalf("backend metrics differ:\n%s %+v\n%s %+v", aName, a.metrics, bName, b.metrics)
+	}
+	if a.doneSum != b.doneSum {
+		t.Fatalf("access completion cycles differ: %s %d, %s %d", aName, a.doneSum, bName, b.doneSum)
+	}
+}
+
 // TestBackendConformanceLineSizer pins the one sizing rule (DESIGN.md
 // §12): every registered backend, installed from a workload image (a
 // memctl.LineSizer) and from the same image behind a plain LineSource,
@@ -268,71 +350,34 @@ func (s plainSource) ReadLine(addr uint64, buf []byte) { s.img.ReadLine(addr, bu
 // bytes, page-size histogram, Stats, backend metrics and access
 // completion cycles.
 func TestBackendConformanceLineSizer(t *testing.T) {
-	prof, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof = workload.Scale(prof, 64)
-	const ops = 6000
 	for _, b := range memctl.Backends() {
 		t.Run(b.Name, func(t *testing.T) {
-			type outcome struct {
-				stats      memctl.Stats
-				compressed int64
-				pageSizes  obs.HistSnapshot
-				metrics    obs.Snapshot
-				doneSum    uint64 // every access's completion cycle, summed
+			sameOutcome(t, "sized", runTraceProgram(t, b, true, false),
+				"plain", runTraceProgram(t, b, false, false))
+		})
+	}
+}
+
+// TestBackendConformanceNilWriteback pins the nil-data writeback
+// contract (DESIGN.md §12): every registered backend ends the
+// trace-driven program identically whether each writeback carries the
+// line's bytes or nil, over the image as a LineSizer and behind a
+// plain LineSource (where a nil writeback reads the source). Non-nil
+// data of the wrong length still panics.
+func TestBackendConformanceNilWriteback(t *testing.T) {
+	for _, b := range memctl.Backends() {
+		t.Run(b.Name, func(t *testing.T) {
+			for _, sized := range []bool{true, false} {
+				sameOutcome(t, "bytes", runTraceProgram(t, b, sized, false),
+					"nil", runTraceProgram(t, b, sized, true))
 			}
-			run := func(sized bool) outcome {
-				tr := workload.NewTrace(prof, 5, ops)
-				img := tr.Image()
-				var src memctl.LineSource = plainSource{img}
-				if sized {
-					src = img
+			ctl, _ := buildBackend(t, b, 2)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a 63-byte writeback did not panic")
 				}
-				pages := img.FootprintPages()
-				ctl := b.New(memctl.BuildParams{
-					OSPAPages:      pages,
-					MachineBytes:   b.MachineBytes(pages),
-					FootprintScale: 64,
-					Mem:            dram.New(dram.DDR4_2666()),
-					Source:         src,
-					Injector:       faults.New(faults.Config{}),
-				})
-				img.InstallInto(ctl)
-				var op workload.Op
-				var doneSum uint64
-				buf := make([]byte, memctl.LineBytes)
-				for i, now := 0, uint64(0); i < ops; i, now = i+1, now+40 {
-					tr.Next(&op)
-					if op.Write {
-						img.ReadLine(op.LineAddr, buf)
-						doneSum += ctl.WriteLine(now, op.LineAddr, buf).Done
-					} else {
-						doneSum += ctl.ReadLine(now, op.LineAddr).Done
-					}
-				}
-				return outcome{ctl.Stats(), ctl.CompressedBytes(), pageSizes(ctl), backendMetrics(ctl), doneSum}
-			}
-			sized, plain := run(true), run(false)
-			if sized.stats != plain.stats {
-				t.Fatalf("Stats differ:\nsized %+v\nplain %+v", sized.stats, plain.stats)
-			}
-			if sized.compressed != plain.compressed {
-				t.Fatalf("CompressedBytes: sized %d, plain %d", sized.compressed, plain.compressed)
-			}
-			if !reflect.DeepEqual(sized.pageSizes, plain.pageSizes) {
-				t.Fatalf("page-size histograms differ:\nsized %+v\nplain %+v", sized.pageSizes, plain.pageSizes)
-			}
-			if !reflect.DeepEqual(sized.metrics, plain.metrics) {
-				t.Fatalf("backend metrics differ:\nsized %+v\nplain %+v", sized.metrics, plain.metrics)
-			}
-			if sized.doneSum != plain.doneSum {
-				t.Fatalf("access completion cycles differ: sized %d, plain %d", sized.doneSum, plain.doneSum)
-			}
-			if sized.stats.DemandWrites == 0 {
-				t.Fatal("the program issued no writebacks")
-			}
+			}()
+			ctl.WriteLine(0, 1, make([]byte, memctl.LineBytes-1))
 		})
 	}
 }

@@ -1,10 +1,12 @@
 package workload_test
 
 import (
+	"reflect"
 	"testing"
 
 	"compresso/internal/dram"
 	"compresso/internal/faults"
+	"compresso/internal/fleet"
 	"compresso/internal/memctl"
 	"compresso/internal/workload"
 
@@ -65,6 +67,44 @@ func TestInstallWarmKeyGeneratesNoPages(t *testing.T) {
 				t.Fatalf("second install holds %d compressed bytes, first %d", b, a)
 			}
 		})
+	}
+}
+
+// TestFleetWarmNodeGeneratesNoPages pins that a fleet node reads
+// sizes, never page bytes (DESIGN.md §15): once one fleet run has built
+// its images' size tables, an identical second run over the five fleet
+// backends generates no page, cold writes and demotions included, and
+// yields the same result.
+func TestFleetWarmNodeGeneratesNoPages(t *testing.T) {
+	pol, err := fleet.PolicyByName("aggressive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []fleet.NodeSpec
+	for i, backend := range []string{"compresso", "lcp", "cram", "cxl", "uncompressed"} {
+		nodes = append(nodes, fleet.NodeSpec{ID: i, Bench: "gcc", Backend: backend, Weight: 1, Seed: 0xf1ee7})
+	}
+	cfg := fleet.Config{Nodes: nodes, Policy: pol, Epochs: 4, OpsPerEpoch: 400, FootprintScale: 16, Jobs: 1}
+	first, err := fleet.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := workload.GeneratedPages()
+	second, err := fleet.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := workload.GeneratedPages() - before; n != 0 {
+		t.Fatalf("a warm fleet run generated %d pages", n)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("warm run differs from the first:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	for _, n := range second.Nodes {
+		if n.ColdWrites == 0 || n.Demotions == 0 {
+			t.Fatalf("node %s made %d cold writes and %d demotions; the test needs both",
+				n.Backend, n.ColdWrites, n.Demotions)
+		}
 	}
 }
 
